@@ -32,6 +32,15 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+class UsageError(Exception):
+    """Bad command-line input; reported on one stderr line with exit code 2."""
+
+
+def _require(ok: bool, message: str):
+    if not ok:
+        raise UsageError(message)
+
+
 def _emit(payload, fmt: str, out):
     if fmt == "json":
         out.write(json.dumps(payload, indent=2, sort_keys=True))
@@ -59,7 +68,12 @@ def _tableize(payload) -> str:
 
 
 def _open_out(path):
-    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -69,14 +83,17 @@ def _open_out(path):
 
 def cmd_tables(args) -> int:
     families = args.family or list(RANK_ONE_FAMILIES)
-    if not families:
-        print("error: empty family list", file=sys.stderr)
-        return EXIT_USAGE
-    bad = [f for f in families if f not in RANK_ONE_FAMILIES]
-    if bad:
-        print(f"error: unknown families {bad}", file=sys.stderr)
-        return EXIT_USAGE
-    n_range = [args.n] if args.n else range(2, 7)
+    n_range = range(2, 7)
+    if args.n is not None:
+        n_range = [args.n]
+        if args.family is None:
+            # H2O exists only at n = 2; the default family set omits it elsewhere
+            families = [f for f in families if f != "H2O" or args.n == 2]
+        for family in families:
+            try:
+                build_rank_one(family, args.n)  # rejects an n the family lacks
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
     try:
         # the row builders verify every entry against the embedded golden
         # case formulas and raise on any mismatch
@@ -88,8 +105,10 @@ def cmd_tables(args) -> int:
         return EXIT_FAIL
     if args.k is not None:
         kap = [r for r in kap if r["k_or_d"] == args.k]
+        _require(bool(kap), f"--k {args.k} matches no kappa row")
     if args.d is not None:
         cxs = [r for r in cxs if r["k_or_d"] == args.d]
+        _require(bool(cxs), f"--d {args.d} matches no cx row")
     with _open_out(args.out) as out:
         if args.format == "csv":
             header = "table,family,n,k_or_d,value,provenance\n"
@@ -136,14 +155,11 @@ def cmd_rx(args) -> int:
             rd = build_sln(n, "TraceForm")
             closed_form = sln_closed_form_bound(n)
         else:
-            print(f"error: unsupported target {target!r} (use H2O or SL:<n>)",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"unsupported target {target!r} (use H2O or SL:<n>)")
         profile = r_profile(rd)
         value = r_lower_bound(rd)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(str(exc)) from None
     payload = {
         "target": target,
         "r_lower_bound": value,
@@ -167,8 +183,12 @@ def cmd_rx(args) -> int:
 
 
 def _suite_hessian(args) -> list[dict]:
+    sizes = modelcheck.MODEL_SIZES
+    _require(args.n in sizes, f"--n must lie in [{sizes[0]}, {sizes[-1]}], got {args.n}")
+    lo, hi = modelcheck.STEP_RANGE
+    _require(lo <= args.h <= hi, f"--h must lie in [{lo:g}, {hi:g}], got {args.h:g}")
     reports = []
-    for n in range(2, (args.n or 3) + 1):
+    for n in range(2, args.n + 1):
         rd = build_sln(n, "Killing")
         for exp in (False, True):
             report = modelcheck.verify_iwasawa_spectrum(
@@ -179,6 +199,8 @@ def _suite_hessian(args) -> list[dict]:
 
 
 def _suite_spherical(args) -> list[dict]:
+    # a standard error needs two samples
+    _require(args.samples >= 2, f"--samples must be at least 2, got {args.samples}")
     reports = []
     N = args.samples
     for n in (2, 3):
@@ -227,9 +249,14 @@ def _suite_ff(args) -> list[dict]:
         run_deformation_suite,
     )
 
+    _require(args.chains >= 1, f"--chains must be at least 1, got {args.chains}")
     if args.mesh:
-        with open(args.mesh) as fh:
-            cx = GeoComplex.from_json(fh.read())
+        try:
+            with open(args.mesh) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read --mesh {args.mesh}: {exc.strerror}") from None
+        cx = GeoComplex.from_json(text)
     else:
         cx = flat_torus_complex(8)
     report = check_uniform(cx, r=1.2, delta=0.2)
@@ -246,9 +273,7 @@ def cmd_verify(args) -> int:
         "monotonicity": _suite_monotonicity,
         "ff": _suite_ff,
     }
-    if args.suite not in suites:
-        print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
-        return EXIT_USAGE
+    _require(args.seed >= 0, f"--seed must be nonnegative, got {args.seed}")
     reports = suites[args.suite](args)
     ok = all(r.get("pass", False) for r in reports)
     payload = {"suite": args.suite, "pass": ok, "checks": reports}
@@ -329,7 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -9,13 +9,12 @@ threshold are pruned at construction.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .complexes import Cell, GeoComplex
+from .complexes import Cell, GeoComplex, simplex_gram_det, simplex_volume
 
 #: pieces with squared-volume Gram determinant below this are dropped
 DEGENERATE_GRAM = 1e-18
@@ -36,21 +35,7 @@ class Piece:
 
 
 def piece_volume(piece: Piece) -> float:
-    k = piece.points.shape[0] - 1
-    if k == 0:
-        return 1.0
-    edges = piece.points[1:] - piece.points[0]
-    gram = edges @ edges.T
-    det = float(np.linalg.det(gram))
-    return math.sqrt(max(det, 0.0)) / math.factorial(k)
-
-
-def _gram_det(piece: Piece) -> float:
-    k = piece.points.shape[0] - 1
-    if k == 0:
-        return 1.0
-    edges = piece.points[1:] - piece.points[0]
-    return float(np.linalg.det(edges @ edges.T))
+    return simplex_volume(piece.points)
 
 
 class PolyChain:
@@ -65,9 +50,9 @@ class PolyChain:
                 raise ValueError(
                     f"piece has {pts.shape[0]} points, expected {self.k + 1}"
                 )
-            piece = Piece(piece.host, pts)
-            if _gram_det(piece) < DEGENERATE_GRAM:
+            if simplex_gram_det(pts) < DEGENERATE_GRAM:
                 continue
+            piece = Piece(piece.host, pts)
             if reduce:
                 key = piece.key()
                 if key in kept:
@@ -133,10 +118,6 @@ def validate_chain(cx: GeoComplex, chain: PolyChain, tol: float = _CONTAIN_TOL):
                 f"piece escapes host {piece.host}: barycentric range "
                 f"[{bary.min():.3e}, {bary.max():.3e}]"
             )
-
-
-def skeleton_dim(chain: PolyChain) -> int:
-    return chain.max_host_dim()
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,20 @@ import numpy as np
 Cell = tuple[int, ...]
 
 
+def simplex_gram_det(points: np.ndarray) -> float:
+    """Gram determinant of the edges of the simplex spanned by k+1 points
+    (1 for a single point); the squared k-volume times (k!)^2."""
+    if len(points) == 1:
+        return 1.0
+    edges = points[1:] - points[0]
+    return float(np.linalg.det(edges @ edges.T))
+
+
+def simplex_volume(points: np.ndarray) -> float:
+    """k-volume of the simplex spanned by k+1 points."""
+    return math.sqrt(max(simplex_gram_det(points), 0.0)) / math.factorial(len(points) - 1)
+
+
 @dataclass(frozen=True)
 class Chart:
     origin: np.ndarray          # (N,)
@@ -155,14 +169,7 @@ class GeoComplex:
         return float(np.sqrt((diffs ** 2).sum(-1)).max())
 
     def cell_volume(self, cell: Cell) -> float:
-        d = len(cell) - 1
-        if d == 0:
-            return 1.0
-        model = self.chart(cell).model
-        edges = model[1:] - model[0]
-        gram = edges @ edges.T
-        det = float(np.linalg.det(gram))
-        return math.sqrt(max(det, 0.0)) / math.factorial(d)
+        return simplex_volume(self.chart(cell).model)
 
     def chart_distortion(self, cell: Cell) -> float:
         """max(s_max, 1/s_min) of the ambient-to-chart map on the cell's hull."""

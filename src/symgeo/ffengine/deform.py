@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .chains import Piece, PolyChain, normalize_chain, piece_volume
-from .complexes import Cell, GeoComplex
+from .complexes import Cell, GeoComplex, simplex_volume
 
 #: centers must keep this distance from pieces and their affine hulls
 CENTER_CLEARANCE = 1e-9
@@ -177,10 +177,7 @@ def _cone_volume(apex: np.ndarray, verts: np.ndarray, k: int) -> float:
     """(k+1)-volume of the cone from apex over a convex polytope."""
     total = 0.0
     for simplex in _fan_simplices(verts, k):
-        edges = np.vstack([simplex, apex[None, :]])[1:] - simplex[0]
-        gram = edges @ edges.T
-        det = float(np.linalg.det(gram))
-        total += math.sqrt(max(det, 0.0)) / math.factorial(k + 1)
+        total += simplex_volume(np.vstack([simplex, apex[None, :]]))
     return total
 
 
@@ -202,9 +199,8 @@ def project_piece(cx: GeoComplex, cell: Cell, x0: np.ndarray, piece: Piece):
         facet = cell[:j] + cell[j + 1:]
         image_facet = cx.convert_coords(cell, facet, image)
         for simplex in _fan_simplices(image_facet, k):
-            new_piece = Piece(facet, simplex)
-            proj_volume += piece_volume(new_piece)
-            new_pieces.append(new_piece)
+            proj_volume += simplex_volume(simplex)
+            new_pieces.append(Piece(facet, simplex))
     return new_pieces, proj_volume, max(track, 0.0)
 
 

@@ -1,6 +1,6 @@
 """Brute-force mod-2 simplicial homology, used as the oracle for deformation
 tests: boundary matrices over GF(2), cycle tests, and homologous-chain tests
-by solving linear systems."""
+by solving linear systems, all on one incremental GF(2) row basis."""
 
 from __future__ import annotations
 
@@ -23,36 +23,13 @@ def boundary_matrix(cx: GeoComplex, d: int) -> np.ndarray:
 
 
 def gf2_rank(mat: np.ndarray) -> int:
-    return len(_rref(mat.copy())[1])
-
-
-def _rref(mat: np.ndarray):
-    mat = mat % 2
-    pivots = []
-    row = 0
-    for col in range(mat.shape[1]):
-        pivot = None
-        for r in range(row, mat.shape[0]):
-            if mat[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[[row, pivot]] = mat[[pivot, row]]
-        for r in range(mat.shape[0]):
-            if r != row and mat[r, col]:
-                mat[r] ^= mat[row]
-        pivots.append(col)
-        row += 1
-        if row == mat.shape[0]:
-            break
-    return mat, pivots
+    # row rank equals column rank; inserting the fewer vectors is cheaper
+    return Gf2RowSpace(mat if mat.shape[0] <= mat.shape[1] else mat.T).rank
 
 
 def gf2_solve(mat: np.ndarray, target: np.ndarray) -> bool:
     """Is the target vector in the GF(2) column space of the matrix?"""
-    augmented = np.hstack([mat % 2, (target % 2)[:, None]]).astype(np.uint8)
-    return gf2_rank(augmented) == gf2_rank(mat)
+    return Gf2RowSpace(mat.T).contains(target)
 
 
 def betti(cx: GeoComplex, d: int) -> int:

@@ -53,7 +53,6 @@ def run_deformation_suite(cx: GeoComplex, n_chains: int = 100, seed: int = 0,
     seeds = np.random.SeedSequence(seed).generate_state(n_chains)
     ratios = []
     failures = []
-    max_local_mass_violation = 0.0
     for chain_seed in map(int, seeds):
         chain, winding = random_loop_chain(cx, seed=chain_seed)
         vol_in = chain.volume()
@@ -90,7 +89,6 @@ def run_deformation_suite(cx: GeoComplex, n_chains: int = 100, seed: int = 0,
                  "error": f"kept cell below local-mass threshold by {-slack:.3e}"}
             )
             continue
-        max_local_mass_violation = max(max_local_mass_violation, -min(slack, 0.0))
         ratios.append(max(result.final.volume(), result.total_track) / vol_in)
     c_empirical = float(max(ratios)) if ratios else 0.0
     return {

@@ -27,6 +27,10 @@ from .rootdata import Covector, RootDatum, build_sln
 
 DEFAULT_STEP = 1e-3
 
+#: matrix sizes and finite-difference steps the model verification accepts
+MODEL_SIZES = range(2, 7)
+STEP_RANGE = (1e-5, 1e-2)
+
 
 class QuadratureError(RuntimeError):
     pass
@@ -176,7 +180,7 @@ def fd_hessian(F: Callable[[np.ndarray], float], frame: TangentFrame,
     the polarization (q(Y_a + Y_b) - q(Y_a - Y_b)) / 4, so the whole matrix
     carries an O(h^2) error and is symmetric by construction.
     """
-    if not 1e-5 <= h <= 1e-2:
+    if not STEP_RANGE[0] <= h <= STEP_RANGE[1]:
         raise ValueError(f"step h = {h} outside [1e-5, 1e-2]")
     f0 = F(np.eye(frame.n))
     if not np.isfinite(f0):
@@ -248,7 +252,7 @@ def spectrum_error(fd_eigs: np.ndarray, expected: Sequence[float]) -> float:
 def fd_model_hessian(n: int, xi: Covector, h: float = DEFAULT_STEP,
                      exp: bool = False) -> tuple[np.ndarray, TangentFrame]:
     """FD Hessian matrix of xi(H) (or e^{xi(H)}) at the base point of SL(n)."""
-    if not 2 <= n <= 6:
+    if n not in MODEL_SIZES:
         raise ValueError("matrix-model verification supports 2 <= n <= 6")
     frame = sl_frame(n)
     F = exp_coordinate_function(xi) if exp else linear_coordinate_function(xi)

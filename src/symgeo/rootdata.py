@@ -1,10 +1,11 @@
 """Restricted root data for the rank-one hyperbolic families and SL(n,R)/SO(n).
 
-A :class:`RootDatum` stores the positive roots with multiplicities, the simple
-roots and the dual inner product on the span of the roots.  Covector
-coordinates are kept in the simple-root basis with exact rational entries, so
-that integrality and Weyl-invariance checks are exact; floats appear only when
-a caller converts explicitly.
+A :class:`RootDatum` is plain data: the positive roots as integer
+coordinate tuples in the simple-root basis, with multiplicities, and the
+scale of the dual inner product.  Covector coordinates are kept in the
+simple-root basis with exact rational entries, so that integrality and
+Weyl-invariance checks are exact; floats appear only when a caller converts
+explicitly.
 
 Supported families::
 
@@ -14,10 +15,15 @@ Supported families::
     H2O   octonionic hyperbolic plane,  (m_a, m_2a) = (8, 7)
     SLn   SL(n,R)/SO(n), roots e_i - e_j on traceless diagonals
 
+The dual inner product is ``scale`` times the Euclidean product of
+e-coordinates (:meth:`Covector.e_coords`).  For SLn the e-coordinates are
+the functionals on the diagonal entries; for the rank-one families they are
+the simple coordinate itself.
+
 Normalizations.  Rank-one data are built with the simple root of unit length
-(``SimpleRootUnit``).  For SLn three scalings of the same integral base form
-are available: ``TraceForm`` (the pairing induced by tr(XY) on diagonal
-traceless matrices, i.e. the Euclidean pairing of e-coordinates),
+(``SimpleRootUnit``, scale 1).  For SLn three scalings of the same integral
+base form are available: ``TraceForm`` (the pairing induced by tr(XY) on
+diagonal traceless matrices, i.e. the Euclidean pairing of e-coordinates),
 ``Killing`` (induced by B(X,Y) = 2n tr(XY), a factor 1/(2n)) and
 ``SimpleRootUnit`` (simple roots of length one, a factor 1/2).  Scaling the
 form does not change sign-based predicates downstream.
@@ -25,8 +31,9 @@ form does not change sign-based predicates downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 RANK_ONE_MULTIPLICITIES = {
@@ -38,7 +45,7 @@ RANK_ONE_MULTIPLICITIES = {
 
 RANK_ONE_FAMILIES = tuple(RANK_ONE_MULTIPLICITIES)
 
-#: scale applied to the SLn base (trace-form) Gram matrix per normalization
+#: scale applied to the SLn base (trace-form) pairing per normalization
 SLN_SCALES = {
     "TraceForm": lambda n: Fraction(1),
     "Killing": lambda n: Fraction(1, 2 * n),
@@ -46,12 +53,19 @@ SLN_SCALES = {
 }
 
 
+def _check_owner(rd: "RootDatum", *covectors: "Covector"):
+    """Raise unless every covector belongs to this very datum."""
+    for xi in covectors:
+        if xi.owner is not rd:
+            raise ValueError("covector owner mismatch")
+
+
 @dataclass(frozen=True)
 class Covector:
     """Element of the dual of the split Cartan, in simple-root coordinates."""
 
-    coords: tuple[Fraction, ...]
-    owner: "RootDatum"
+    coords: tuple[int | Fraction, ...]
+    owner: "RootDatum" = field(repr=False)
 
     def __post_init__(self):
         if len(self.coords) != self.owner.rank:
@@ -60,11 +74,11 @@ class Covector:
             )
 
     def __add__(self, other: "Covector") -> "Covector":
-        self._check_owner(other)
+        _check_owner(self.owner, other)
         return Covector(tuple(a + b for a, b in zip(self.coords, other.coords)), self.owner)
 
     def __sub__(self, other: "Covector") -> "Covector":
-        self._check_owner(other)
+        _check_owner(self.owner, other)
         return Covector(tuple(a - b for a, b in zip(self.coords, other.coords)), self.owner)
 
     def __rmul__(self, c) -> "Covector":
@@ -74,58 +88,63 @@ class Covector:
     def __neg__(self) -> "Covector":
         return Covector(tuple(-a for a in self.coords), self.owner)
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
+    def e_coords(self) -> tuple:
+        """Coordinates in the e_i basis: for SLn the functionals on the
+        diagonal entries, for the rank-one families the simple coordinate."""
+        return self._sln_e_coords if self.owner.family == "SLn" else self.coords
 
-    def _check_owner(self, other: "Covector"):
-        if other.owner is not self.owner:
-            raise ValueError("covectors belong to different root data")
-
-    def e_coords(self) -> tuple[Fraction, ...]:
-        """Coordinates in the e_i basis (SLn: functionals on diag entries)."""
-        cached = self.__dict__.get("_e_coords")
-        if cached is not None:
-            return cached
-        if self.owner.family != "SLn":
-            # rank one: report multiples of the simple root as a 1-tuple
-            out = self.coords
-        else:
-            c = self.coords
-            n = self.owner.n
-            vals = []
-            for i in range(n):
-                left = c[i] if i < n - 1 else Fraction(0)
-                right = c[i - 1] if i >= 1 else Fraction(0)
-                vals.append(left - right)
-            out = tuple(vals)
-        object.__setattr__(self, "_e_coords", out)
-        return out
+    @cached_property
+    def _sln_e_coords(self) -> tuple:
+        # e_i = c_i - c_{i-1} with c_0 = c_n = 0
+        c = (0,) + self.coords + (0,)
+        return tuple(c[i + 1] - c[i] for i in range(len(c) - 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootDatum:
-    """A restricted root system with multiplicities and a dual inner product."""
+    """A restricted root system with multiplicities and a dual inner product.
+
+    Equality and hashing are by identity: covectors of two separately built
+    data never mix, even when the data describe the same space.
+    """
 
     family: str
     n: int
     rank: int
-    positive_roots: tuple[tuple[Covector, int], ...]
-    simple_roots: tuple[Covector, ...]
-    dual_gram: tuple[tuple[Fraction, ...], ...]
+    #: positive roots as integer simple-root coordinates, with multiplicity
+    root_coords: tuple[tuple[tuple[int, ...], int], ...]
     dim_X: int
     normalization: str
     scale: Fraction
+
+    @cached_property
+    def positive_roots(self) -> tuple[tuple[Covector, int], ...]:
+        return tuple((Covector(coords, self), mult) for coords, mult in self.root_coords)
+
+    @cached_property
+    def simple_roots(self) -> tuple[Covector, ...]:
+        return tuple(
+            Covector(tuple(int(i == l) for l in range(self.rank)), self)
+            for i in range(self.rank)
+        )
+
+    @cached_property
+    def dual_gram(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Gram matrix of the pairing on the simple roots."""
+        return tuple(
+            tuple(pair(self, a, b) for b in self.simple_roots) for a in self.simple_roots
+        )
 
     @property
     def m_alpha(self) -> int:
         """Multiplicity of the simple root (rank-one families only)."""
         self._require_rank_one()
-        return self.positive_roots[0][1]
+        return self.root_coords[0][1]
 
     @property
     def m_2alpha(self) -> int:
         self._require_rank_one()
-        return self.positive_roots[1][1] if len(self.positive_roots) > 1 else 0
+        return self.root_coords[1][1] if len(self.root_coords) > 1 else 0
 
     @property
     def alpha(self) -> Covector:
@@ -136,21 +155,11 @@ class RootDatum:
         if self.rank != 1:
             raise ValueError(f"operation requires a rank-one datum, got {self.family}")
 
-    def is_rank_one(self) -> bool:
-        return self.rank == 1
-
     def covector(self, coords: Sequence) -> Covector:
         return Covector(tuple(Fraction(c) for c in coords), self)
 
     def zero(self) -> Covector:
         return self.covector([0] * self.rank)
-
-    def root_multiset(self) -> list[Covector]:
-        """Positive roots repeated with multiplicity."""
-        out = []
-        for root, mult in self.positive_roots:
-            out.extend([root] * mult)
-        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -158,38 +167,13 @@ class RootDatum:
             "n": self.n,
             "rank": self.rank,
             "roots": [
-                {"coords": [str(c) for c in root.coords], "mult": mult}
-                for root, mult in self.positive_roots
+                {"coords": [str(c) for c in coords], "mult": mult}
+                for coords, mult in self.root_coords
             ],
             "gram": [[str(x) for x in row] for row in self.dual_gram],
             "normalization": self.normalization,
             "scale": str(self.scale),
         }
-
-
-def _rank_one_datum(family: str, n: int) -> RootDatum:
-    m_a, m_2a = RANK_ONE_MULTIPLICITIES[family](n)
-    dim = 1 + m_a + m_2a
-    datum = object.__new__(RootDatum)
-    alpha = Covector.__new__(Covector)
-    object.__setattr__(alpha, "coords", (Fraction(1),))
-    object.__setattr__(alpha, "owner", datum)
-    roots = [(alpha, m_a)]
-    if m_2a:
-        two_alpha = Covector.__new__(Covector)
-        object.__setattr__(two_alpha, "coords", (Fraction(2),))
-        object.__setattr__(two_alpha, "owner", datum)
-        roots.append((two_alpha, m_2a))
-    object.__setattr__(datum, "family", family)
-    object.__setattr__(datum, "n", n)
-    object.__setattr__(datum, "rank", 1)
-    object.__setattr__(datum, "positive_roots", tuple(roots))
-    object.__setattr__(datum, "simple_roots", (alpha,))
-    object.__setattr__(datum, "dual_gram", ((Fraction(1),),))
-    object.__setattr__(datum, "dim_X", dim)
-    object.__setattr__(datum, "normalization", "SimpleRootUnit")
-    object.__setattr__(datum, "scale", Fraction(1))
-    return datum
 
 
 def build_rank_one(family: str, n: int) -> RootDatum:
@@ -200,18 +184,14 @@ def build_rank_one(family: str, n: int) -> RootDatum:
         raise ValueError("the octonionic hyperbolic space exists only for n = 2")
     if n < 2:
         raise ValueError(f"{family} requires n >= 2, got {n}")
-    return _rank_one_datum(family, n)
+    m_a, m_2a = RANK_ONE_MULTIPLICITIES[family](n)
+    roots = (((1,), m_a), ((2,), m_2a)) if m_2a else (((1,), m_a),)
+    return RootDatum(family, n, 1, roots, 1 + m_a + m_2a, "SimpleRootUnit", Fraction(1))
 
 
-def _sln_base_gram(n: int) -> list[list[Fraction]]:
-    # <alpha_i, alpha_j> under the trace form: the A_{n-1} Cartan-like matrix
-    g = [[Fraction(0)] * (n - 1) for _ in range(n - 1)]
-    for i in range(n - 1):
-        g[i][i] = Fraction(2)
-        if i + 1 < n - 1:
-            g[i][i + 1] = Fraction(-1)
-            g[i + 1][i] = Fraction(-1)
-    return g
+def _sln_root(rank: int, i: int, j: int) -> tuple[int, ...]:
+    # alpha_{i,j} = e_i - e_j = alpha_i + ... + alpha_{j-1}
+    return tuple(int(i <= l + 1 < j) for l in range(rank))
 
 
 def build_sln(n: int, normalization: str = "Killing") -> RootDatum:
@@ -220,70 +200,41 @@ def build_sln(n: int, normalization: str = "Killing") -> RootDatum:
         raise ValueError(f"SLn requires n >= 2, got {n}")
     if normalization not in SLN_SCALES:
         raise ValueError(f"unknown normalization {normalization!r}")
-    scale = SLN_SCALES[normalization](n)
     rank = n - 1
-    datum = object.__new__(RootDatum)
-
-    def cov(coords):
-        c = Covector.__new__(Covector)
-        object.__setattr__(c, "coords", tuple(Fraction(x) for x in coords))
-        object.__setattr__(c, "owner", datum)
-        return c
-
-    simple = tuple(cov([1 if l == i else 0 for l in range(rank)]) for i in range(rank))
-    roots = []
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            # alpha_{i,j} = alpha_i + ... + alpha_{j-1}
-            roots.append((cov([1 if i <= l + 1 < j else 0 for l in range(rank)]), 1))
-    gram = tuple(
-        tuple(scale * x for x in row) for row in _sln_base_gram(n)
+    roots = tuple(
+        (_sln_root(rank, i, j), 1) for i in range(1, n) for j in range(i + 1, n + 1)
     )
-    object.__setattr__(datum, "family", "SLn")
-    object.__setattr__(datum, "n", n)
-    object.__setattr__(datum, "rank", rank)
-    object.__setattr__(datum, "positive_roots", tuple(roots))
-    object.__setattr__(datum, "simple_roots", simple)
-    object.__setattr__(datum, "dual_gram", gram)
-    object.__setattr__(datum, "dim_X", n * (n + 1) // 2 - 1)
-    object.__setattr__(datum, "normalization", normalization)
-    object.__setattr__(datum, "scale", scale)
-    return datum
+    return RootDatum("SLn", n, rank, roots, n * (n + 1) // 2 - 1, normalization,
+                     SLN_SCALES[normalization](n))
 
 
 def pair(rd: RootDatum, xi: Covector, eta: Covector) -> Fraction:
-    """Dual inner product <xi, eta> in the datum's normalization."""
-    if xi.owner is not rd or eta.owner is not rd:
-        raise ValueError("covector owner mismatch")
-    if rd.family == "SLn":
-        # the Gram form diagonalizes in e-coordinates (zero-sum functionals)
-        total = sum(
-            (a * b for a, b in zip(xi.e_coords(), eta.e_coords()) if a and b),
-            Fraction(0),
-        )
-        return total * rd.scale
-    total = Fraction(0)
-    for i, a in enumerate(xi.coords):
-        if a == 0:
-            continue
-        row = rd.dual_gram[i]
-        for j, b in enumerate(eta.coords):
-            if b:
-                total += a * row[j] * b
-    return total
+    """Dual inner product <xi, eta>: scale times the e-coordinate dot product."""
+    _check_owner(rd, xi, eta)
+    total = 0
+    for a, b in zip(xi.e_coords(), eta.e_coords()):
+        if a and b:
+            total += a * b
+    return total * rd.scale
 
 
 def norm_sq(rd: RootDatum, xi: Covector) -> Fraction:
     return pair(rd, xi, xi)
 
 
+def _half_sum(rd: RootDatum, roots: Iterable[tuple[tuple[int, ...], int]]) -> Covector:
+    """Half of the sum of integer root coordinates counted with multiplicity."""
+    sums = [0] * rd.rank
+    for coords, mult in roots:
+        for i, c in enumerate(coords):
+            if c:
+                sums[i] += mult * c
+    return Covector(tuple(Fraction(s, 2) for s in sums), rd)
+
+
 def rho(rd: RootDatum) -> Covector:
     """Half-sum of the positive roots counted with multiplicity."""
-    coords = [Fraction(0)] * rd.rank
-    for root, mult in rd.positive_roots:
-        for i, c in enumerate(root.coords):
-            coords[i] += Fraction(mult, 2) * c
-    return Covector(tuple(coords), rd)
+    return _half_sum(rd, rd.root_coords)
 
 
 def strongly_orthogonal_set(rd: RootDatum) -> list[Covector]:
@@ -292,34 +243,24 @@ def strongly_orthogonal_set(rd: RootDatum) -> list[Covector]:
         raise ValueError("strongly orthogonal set is implemented for SLn only")
     if rd.n < 3:
         raise ValueError("SL2 has rank one; the growth-gap bound does not apply")
-    n = rd.n
-    out = []
-    for i in range(1, n // 2 + 1):
-        j = n + 1 - i
-        out.append(rd.covector([1 if i <= l + 1 < j else 0 for l in range(rd.rank)]))
-    return out
+    return [Covector(_sln_root(rd.rank, i, rd.n + 1 - i), rd) for i in range(1, rd.n // 2 + 1)]
 
 
 def theta_so(rd: RootDatum) -> Covector:
     """Half-sum of the strongly orthogonal root set; rejects rank-one data."""
-    members = strongly_orthogonal_set(rd)
+    members = [root.coords for root in strongly_orthogonal_set(rd)]
     if not _is_strongly_orthogonal(rd, members):
         raise AssertionError("chosen set failed the strong-orthogonality check")
-    coords = [Fraction(0)] * rd.rank
-    for root in members:
-        for i, c in enumerate(root.coords):
-            coords[i] += Fraction(1, 2) * c
-    return Covector(tuple(coords), rd)
+    return _half_sum(rd, ((coords, 1) for coords in members))
 
 
-def _is_strongly_orthogonal(rd: RootDatum, members: Iterable[Covector]) -> bool:
-    root_set = {root.coords for root, _ in rd.positive_roots}
+def _is_strongly_orthogonal(rd: RootDatum, members: list[tuple[int, ...]]) -> bool:
+    root_set = {coords for coords, _ in rd.root_coords}
     full = root_set | {tuple(-c for c in coords) for coords in root_set}
-    members = list(members)
     for a in range(len(members)):
         for b in range(a + 1, len(members)):
-            s = tuple(x + y for x, y in zip(members[a].coords, members[b].coords))
-            d = tuple(x - y for x, y in zip(members[a].coords, members[b].coords))
+            s = tuple(x + y for x, y in zip(members[a], members[b]))
+            d = tuple(x - y for x, y in zip(members[a], members[b]))
             if s in full or d in full:
                 return False
     return True

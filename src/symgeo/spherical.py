@@ -213,14 +213,14 @@ def c_function(rd: RootDatum, lam) -> complex:
     nu = _simple_coords(lam, rd.rank)
     rho_coords = np.array([complex(c) for c in rho(rd).coords])
     gram = np.array([[float(x) for x in row] for row in rd.dual_gram])
-    mult = {root.coords: m for root, m in rd.positive_roots}
+    mult = dict(rd.root_coords)
 
     def I(coords: np.ndarray) -> complex:
         total = complex(1.0)
-        for root, m in rd.positive_roots:
-            half = tuple(c / 2 for c in root.coords)
+        for root, m in rd.root_coords:
+            half = tuple(c / 2 for c in root)
             m_half = mult.get(half, 0)
-            rvec = np.array([float(c) for c in root.coords])
+            rvec = np.array(root, dtype=float)
             ratio = (coords @ (gram @ rvec)) / (rvec @ (gram @ rvec))
             z1 = m / 2.0
             z2 = m_half / 2.0 + ratio

@@ -33,6 +33,14 @@ class TestTables:
             int(r["value"]) == r["k_or_d"] - 1 for r in doc["kappa"]
         )
 
+    def test_n_filter_keeps_only_families_at_n(self, capsys):
+        code, out, _ = run_cli(capsys, "tables", "--n", "3")
+        assert code == 0
+        doc = json.loads(out)
+        rows = doc["multiplicities"] + doc["kappa"] + doc["cx"]
+        assert {r["n"] for r in rows} == {3}
+        assert {r["family"] for r in rows} == {"HnR", "HnC", "HnH"}
+
     def test_bad_family_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["tables", "--family", "E8"])
@@ -122,3 +130,26 @@ def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as err:
         main(["--help"])
     assert err.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "--n", "1"],
+    ["tables", "--family", "H2O", "--n", "3"],
+    ["tables", "--k", "99"],
+    ["tables", "--d", "99"],
+    ["tables", "--out", "{tmp}/missing/tables.json"],
+    ["rx", "H2O", "--out", "{tmp}/missing/rx.json"],
+    ["verify", "hessian", "--n", "7"],
+    ["verify", "hessian", "--h", "1"],
+    ["verify", "ff", "--chains", "-3"],
+    ["verify", "ff", "--chains", "0"],
+    ["verify", "ff", "--mesh", "{tmp}/missing.json"],
+    ["verify", "ff", "--seed", "-1"],
+    ["verify", "spherical", "--samples", "0"],
+], ids=" ".join)
+def test_usage_error_exits_two_with_one_line(capsys, tmp_path, argv):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symgeo.ffengine import (
     GeoComplex,
@@ -490,3 +492,38 @@ class TestHomology:
         b = homology.cell_vector(torus8, 1, representative_edge_cycle(torus8, (0, 1)))
         assert not homology.homologous(torus8, 1, a, b)
         assert homology.homologous(torus8, 1, a, a)
+
+
+def _pack(v) -> int:
+    return int("".join(str(int(b)) for b in v) or "0", 2)
+
+
+def _gf2_span(vectors) -> set[int]:
+    """Every GF(2) combination of the vectors, each packed into an int."""
+    span = {0}
+    for v in vectors:
+        span |= {s ^ _pack(v) for s in span}
+    return span
+
+
+gf2_matrices = st.integers(1, 6).flatmap(
+    lambda rows: st.integers(1, 6).flatmap(
+        lambda cols: st.lists(st.lists(st.integers(0, 1), min_size=cols, max_size=cols),
+                              min_size=rows, max_size=rows)))
+
+
+class TestGf2Engine:
+    """The GF(2) rank and solve against brute-force span enumeration."""
+
+    @given(gf2_matrices)
+    def test_rank_matches_span_size(self, rows):
+        mat = np.array(rows, dtype=np.uint8)
+        assert 2 ** homology.gf2_rank(mat) == len(_gf2_span(mat))
+        assert homology.gf2_rank(mat) == homology.gf2_rank(mat.T)
+
+    @given(gf2_matrices, st.data())
+    def test_solve_matches_column_span(self, rows, data):
+        mat = np.array(rows, dtype=np.uint8)
+        target = data.draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+        expected = _pack(target) in _gf2_span(mat.T)
+        assert homology.gf2_solve(mat, np.array(target, dtype=np.uint8)) == expected

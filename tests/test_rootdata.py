@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symgeo import rootdata
 from symgeo.rootdata import (
@@ -176,6 +178,69 @@ class TestBilinearity:
         assert pair(rd, xi, rd.zero()) == 0
         assert pair(rd, xi, eta) == pair(rd, eta, xi)
         assert pair(rd, xi + eta, eta) == pair(rd, xi, eta) + pair(rd, eta, eta)
+
+
+small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+
+
+@st.composite
+def sln_pairing_case(draw):
+    """An SL(n) datum (n <= 8, any normalization), three covectors, a scalar."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    rd = build_sln(n, draw(st.sampled_from(tuple(rootdata.SLN_SCALES))))
+    coords = st.lists(small_fractions, min_size=rd.rank, max_size=rd.rank)
+    xi, eta, zeta = (rd.covector(draw(coords)) for _ in range(3))
+    return rd, xi, eta, zeta, draw(small_fractions)
+
+
+class TestPairProperties:
+    @given(sln_pairing_case())
+    def test_symmetric_and_bilinear(self, case):
+        rd, xi, eta, zeta, c = case
+        assert pair(rd, xi, eta) == pair(rd, eta, xi)
+        assert pair(rd, xi + zeta, eta) == pair(rd, xi, eta) + pair(rd, zeta, eta)
+        assert pair(rd, c * xi, eta) == c * pair(rd, xi, eta)
+
+    @given(sln_pairing_case())
+    def test_matches_killing_oracle(self, case):
+        rd, xi, eta, _, _ = case
+        # the oracle realizes the Killing form B = 2n tr; rescale it to rd's
+        expected = killing_pair_oracle(rd.n, xi, eta) * 2 * rd.n * float(rd.scale)
+        assert float(pair(rd, xi, eta)) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @given(st.integers(min_value=3, max_value=40))
+    def test_two_rho_e_coords(self, n):
+        two_rho = 2 * rho(build_sln(n))
+        assert two_rho.e_coords() == tuple(range(n - 1, -n, -2))
+
+    @given(st.integers(min_value=3, max_value=40))
+    def test_two_theta_e_coords(self, n):
+        two_theta = 2 * theta_so(build_sln(n))
+        m = n // 2
+        assert two_theta.e_coords() == (1,) * m + (0,) * (n % 2) + (-1,) * m
+
+
+class TestPlainData:
+    """Data and covectors hash, compare and print without recursing."""
+
+    @pytest.mark.parametrize("build", [lambda: build_rank_one("H2O", 2),
+                                       lambda: build_sln(4)], ids=["H2O", "SL4"])
+    def test_hash_and_repr_terminate(self, build):
+        rd = build()
+        hash(rd)
+        for root, _ in rd.positive_roots:
+            hash(root)
+        assert {rd.simple_roots[0], rd.simple_roots[0]} == {rd.simple_roots[0]}
+        assert "Covector" in repr(rd.simple_roots[0])
+        assert rd.family in repr(rd)
+
+    def test_separately_built_data_do_not_compare_equal(self):
+        rd1, rd2 = build_rank_one("H2O", 2), build_rank_one("H2O", 2)
+        assert rd1 == rd1 and rd1 != rd2
+        assert rd1.alpha == rd1.alpha
+        assert rd1.alpha != rd2.alpha
+        s1, s2 = build_sln(3), build_sln(3)
+        assert s1.covector([1, 0]) != s2.covector([1, 0])
 
 
 def test_json_roundtrip_shape():
