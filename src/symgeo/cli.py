@@ -256,7 +256,13 @@ def _suite_ff(args) -> list[dict]:
                 text = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read --mesh {args.mesh}: {exc.strerror}") from None
-        cx = GeoComplex.from_json(text)
+        try:
+            cx = GeoComplex.from_json(text)
+            for cells in cx.cells.values():
+                for cell in cells:
+                    cx.chart(cell)  # rejects a degenerate cell
+        except (ValueError, TypeError) as exc:
+            raise UsageError(f"malformed --mesh {args.mesh}: {exc}") from None
     else:
         cx = flat_torus_complex(8)
     report = check_uniform(cx, r=1.2, delta=0.2)

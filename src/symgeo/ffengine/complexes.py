@@ -20,18 +20,29 @@ import numpy as np
 Cell = tuple[int, ...]
 
 
-def simplex_gram_det(points: np.ndarray) -> float:
+def simplex_gram_det(points: np.ndarray):
     """Gram determinant of the edges of the simplex spanned by k+1 points
-    (1 for a single point); the squared k-volume times (k!)^2."""
-    if len(points) == 1:
-        return 1.0
-    edges = points[1:] - points[0]
-    return float(np.linalg.det(edges @ edges.T))
+    (1 for a single point); the squared k-volume times (k!)^2.
+
+    ``points`` is (k+1, N) for one simplex, which gives a float, or a stack
+    (..., k+1, N) of simplices, which gives an array of shape (...).
+    """
+    if points.shape[-2] == 1:
+        det = np.ones(points.shape[:-2])
+    else:
+        edges = points[..., 1:, :] - points[..., :1, :]
+        det = np.linalg.det(edges @ np.swapaxes(edges, -1, -2))
+    return float(det) if points.ndim == 2 else det
 
 
-def simplex_volume(points: np.ndarray) -> float:
-    """k-volume of the simplex spanned by k+1 points."""
-    return math.sqrt(max(simplex_gram_det(points), 0.0)) / math.factorial(len(points) - 1)
+def simplex_volume(points: np.ndarray):
+    """k-volume of the simplex spanned by k+1 points, or of each simplex of a
+    stack (..., k+1, N), as for simplex_gram_det."""
+    det = simplex_gram_det(points)
+    scale = math.factorial(points.shape[-2] - 1)
+    if points.ndim == 2:
+        return math.sqrt(max(det, 0.0)) / scale
+    return np.sqrt(np.maximum(det, 0.0)) / scale
 
 
 @dataclass(frozen=True)
@@ -62,11 +73,15 @@ class GeoComplex:
         self.vertices = np.asarray(vertices, dtype=float)
         if self.vertices.ndim != 2:
             raise ValueError("vertices must be a (V, N) array")
+        if not np.isfinite(self.vertices).all():
+            raise ValueError("vertices must be finite")
         cells: dict[int, set[Cell]] = {}
         for cell in top_cells:
             cell = tuple(sorted(int(v) for v in cell))
             if len(set(cell)) != len(cell):
                 raise ValueError(f"cell {cell} repeats a vertex")
+            if cell and not 0 <= cell[0] <= cell[-1] < len(self.vertices):
+                raise ValueError(f"cell {cell} names a vertex outside 0..{len(self.vertices) - 1}")
             for size in range(1, len(cell) + 1):
                 cells.setdefault(size - 1, set()).update(
                     itertools.combinations(cell, size)
@@ -136,6 +151,8 @@ class GeoComplex:
             model = np.zeros((1, 0))
             solver = np.ones((1, 1))
         else:
+            if d > len(origin):
+                raise ValueError(f"degenerate cell {cell}")
             edges = (pts[1:] - origin).T
             q, r = np.linalg.qr(edges)
             if np.abs(np.diag(r)).min() < 1e-12:
@@ -194,6 +211,8 @@ class GeoComplex:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GeoComplex":
+        if not isinstance(doc, dict) or not {"vertices", "simplices"} <= doc.keys():
+            raise ValueError('a mesh is a JSON object with "vertices" and "simplices"')
         return cls(np.array(doc["vertices"], dtype=float), doc["simplices"])
 
     @classmethod

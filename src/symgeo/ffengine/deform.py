@@ -8,6 +8,15 @@ for all i (b barycentric, c = b(x)), a linear condition, so the split is a
 convex clipping in the piece's own parameter simplex.  On each part the
 projection is projective, so images of vertices span the image piece.
 
+One batched kernel, project_pieces, does this for a block of C candidate
+centers against all P pieces of a cell at once: barycentrics are a (C, m+1)
+array, the exit-facet constraints a (C, P, m+1, m+1) tensor, interval
+clipping for curves and the clearance test are array expressions, and the
+volumes come from one stacked simplex-volume call (only the clipping of
+triangles loops).  select_center scores its candidates with it block by
+block, project_piece is its one-candidate call, and ff_step keeps the image
+pieces and tracks the chosen center was scored with.
+
 Homotopy tracks are exact cone-volume differences: the region swept by
 y -> (1-t) y + t p(y) is the cone over the projected part minus the cone over
 the part itself, both measured from the center.
@@ -20,7 +29,7 @@ its k-volume); mod-2 interval parity decides coverage for curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -45,25 +54,8 @@ class CenterSelectionError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# exit-facet decomposition and projection
+# exit-facet kernel: every candidate center against every piece of a cell
 # ---------------------------------------------------------------------------
-
-
-def _clip_interval(constraints, rhs):
-    lo, hi = 0.0, 1.0
-    for a, d in zip(constraints, rhs):
-        if abs(a) < _CLIP_TOL:
-            if d < -_CLIP_TOL:
-                return None
-            continue
-        bound = d / a
-        if a > 0:
-            hi = min(hi, bound)
-        else:
-            lo = max(lo, bound)
-    if hi - lo <= _CLIP_TOL:
-        return None
-    return lo, hi
 
 
 def _clip_polygon(poly, constraints, rhs):
@@ -99,86 +91,200 @@ def _polygon_area(poly) -> float:
     return area
 
 
-def _exit_regions(cx: GeoComplex, cell: Cell, x0: np.ndarray, piece: Piece):
-    """Split a piece by exit facet; yields (facet_index, param_vertices).
+_UNIT_TRIANGLE = (np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
-    Parameter vertices are barycentric-style coordinates in the piece's own
-    simplex (length-k vectors t with t >= 0, sum t <= 1).
+
+def _exit_params(rows: np.ndarray, rhs: np.ndarray, k: int):
+    """Clip each piece's parameter simplex to each exit region.
+
+    rows (C, P, J, J, k) and rhs (C, P, J, J) hold the constraints
+    rows[..., j, i, :] . t <= rhs[..., j, i] of exit facet j.  Returns the
+    region vertices (C, P, J, V, k) in parameter space and their counts
+    (C, P, J), 0 where the region is empty.
+    """
+    C, P, J = rhs.shape[:3]
+    if k == 0:
+        # constraints reduce to 0 <= rhs; argmin ties go to the lowest j
+        feasible = (rhs >= -_CLIP_TOL).all(axis=-1)
+        first = feasible & (np.cumsum(feasible, axis=-1) == 1)
+        return np.zeros((C, P, J, 1, 0)), np.where(first, 1, 0)
+    if k == 1:
+        a = rows[..., 0]
+        flat = np.abs(a) < _CLIP_TOL
+        bound = rhs / a
+        hi = np.minimum(np.where(~flat & (a > 0), bound, np.inf).min(axis=-1), 1.0)
+        lo = np.maximum(np.where(~flat & (a < 0), bound, -np.inf).max(axis=-1), 0.0)
+        empty = (flat & (rhs < -_CLIP_TOL)).any(axis=-1) | (hi - lo <= _CLIP_TOL)
+        return np.stack([lo, hi], axis=-1)[..., None], np.where(empty, 0, 2)
+    polys = {}
+    for idx in np.ndindex(C, P, J):
+        poly = _clip_polygon(list(_UNIT_TRIANGLE), rows[idx], rhs[idx])
+        if _polygon_area(poly) > _CLIP_TOL:
+            polys[idx] = np.vstack(poly)
+    params = np.zeros((C, P, J, max(map(len, polys.values()), default=3), 2))
+    counts = np.zeros((C, P, J), dtype=int)
+    for idx, poly in polys.items():
+        params[idx][:len(poly)] = poly
+        counts[idx] = len(poly)
+    return params, counts
+
+
+def _fan(k: int, n_verts: int) -> np.ndarray:
+    """Vertex indices (S, k+1) of the fan triangulation of a convex polytope
+    with up to n_verts vertices; fan simplex s exists when the polytope has
+    more than fan[s, -1] vertices."""
+    if k < 2:
+        return np.arange(k + 1)[None, :]
+    return np.array([[0, t, t + 1] for t in range(1, n_verts - 1)])
+
+
+def _segment_distance(v: np.ndarray, d: np.ndarray, clip: bool) -> np.ndarray:
+    """Distance from points v to the segment [0, d] (clip) or the line R d."""
+    t = (v * d).sum(axis=-1) / (d * d).sum(axis=-1)
+    if clip:
+        t = np.clip(t, 0.0, 1.0)
+    return np.linalg.norm(v - t[..., None] * d, axis=-1)
+
+
+def _too_close(x: np.ndarray, pts: np.ndarray, m: int) -> np.ndarray:
+    """Which of the centers x (C, m) lie within CENTER_CLEARANCE of a piece
+    (pts is (P, k+1, m)) or, for pieces of lower dimension than the cell, of
+    its affine hull; a center there breaks the radial-graph property of the
+    projection."""
+    k = pts.shape[1] - 1
+    v = x[:, None, :] - pts[None, :, 0]
+    if k == 0:
+        hull = dist = np.linalg.norm(v, axis=-1)
+    elif k == 1:
+        d = pts[:, 1] - pts[:, 0]
+        hull = _segment_distance(v, d, clip=False)
+        dist = _segment_distance(v, d, clip=True)
+    elif k == 2:
+        e1, e2 = pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]
+        g11, g12, g22 = (e1 * e1).sum(-1), (e1 * e2).sum(-1), (e2 * e2).sum(-1)
+        r1, r2 = (v * e1).sum(-1), (v * e2).sum(-1)
+        det = g11 * g22 - g12 * g12
+        s, t = (g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det
+        hull = np.linalg.norm(v - s[..., None] * e1 - t[..., None] * e2, axis=-1)
+        # hull distance when the foot lies inside, otherwise the nearest edge
+        edges = np.minimum(
+            np.minimum(_segment_distance(v, e1, True), _segment_distance(v, e2, True)),
+            _segment_distance(v - e1, e2 - e1, True),
+        )
+        dist = np.where((s >= 0) & (t >= 0) & (s + t <= 1), hull, edges)
+    else:
+        raise NotImplementedError("center clearance supports pieces of dim <= 2")
+    close = dist < CENTER_CLEARANCE
+    if k < m:
+        close |= hull < CENTER_CLEARANCE
+    return close.any(axis=1)
+
+
+@dataclass(frozen=True)
+class Projections:
+    """Radial projections of a cell's P pieces from C candidate centers.
+
+    Per candidate: projected k-volume ``proj``, homotopy-track (k+1)-volume
+    ``track`` (the sum of ``piece_tracks`` over the pieces), whether the
+    center keeps clearance from every piece (``clear``), and whether every
+    exit ray leaves through its facet (``exits``).  Values of a candidate
+    that fails either verdict are meaningless.
+    """
+
+    cell: Cell
+    k: int
+    centers: np.ndarray       # (C, m)
+    proj: np.ndarray          # (C,)
+    track: np.ndarray         # (C,)
+    piece_tracks: np.ndarray  # (C, P)
+    clear: np.ndarray         # (C,) bool
+    exits: np.ndarray         # (C,) bool
+    params: np.ndarray        # (C, P, J, V, k) exit regions, piece parameters
+    counts: np.ndarray        # (C, P, J) vertices per exit region, 0 if empty
+    images: np.ndarray        # (C, P, J, V, m-1) image vertices, facet charts
+
+    def image_pieces(self, i: int) -> list[Piece]:
+        """Image pieces of candidate i, piece by piece and facet by facet."""
+        out: list[Piece] = []
+        for p, j in zip(*np.nonzero(self.counts[i])):
+            verts = self.images[i, p, j, :self.counts[i, p, j]]
+            facet = self.cell[:j] + self.cell[j + 1:]
+            out.extend(Piece(facet, verts[s]) for s in _fan(self.k, len(verts)))
+        return out
+
+
+def _running_sum(values: np.ndarray) -> np.ndarray:
+    # left-to-right sum over the last axis, the order a scalar loop adds in
+    return np.add.accumulate(values, axis=-1)[..., -1]
+
+
+def project_pieces(cx: GeoComplex, cell: Cell, centers: np.ndarray,
+                   pieces: Sequence[Piece]) -> Projections:
+    """Radially project every piece from each of C centers onto the cell
+    boundary, all candidates and pieces at once.
+
+    The ray from a center x through y leaves the cell through facet j iff
+    c_i b_j(y) - c_j b_i(y) <= 0 for all i (b barycentric, c = b(x)), so each
+    piece's parameter simplex is clipped to one convex region per facet; on a
+    region the projection is projective and the images of its vertices span
+    the image.  Pieces must share one dimension k <= 2.
     """
     chart = cx.chart(cell)
     m = len(cell) - 1
-    k = piece.points.shape[0] - 1
+    x = np.asarray(centers, dtype=float).reshape(-1, m)
+    pts = np.stack([p.points for p in pieces])
+    k = pts.shape[1] - 1
     if k > 2:
         raise NotImplementedError("exit-facet clipping supports pieces of dim <= 2")
-    c = chart.barycentric(x0[None, :])[0]
-    b = chart.barycentric(piece.points)  # (k+1, m+1)
-    b0, B = b[0], (b[1:] - b[0]).T  # B: (m+1, k)
+    C, P, J = len(x), len(pts), m + 1
+    # values of a candidate that fails a verdict may be inf or nan
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        clear = ~_too_close(x, pts, m)
+        c = chart.barycentric(x)                                    # (C, J)
+        b = chart.barycentric(pts.reshape(-1, m)).reshape(P, k + 1, J)
+        b0, B = b[:, 0], np.swapaxes(b[:, 1:] - b[:, :1], 1, 2)     # (P, J), (P, J, k)
+        ci, cj = c[:, None, None, :], c[:, None, :, None]           # c_i, c_j on axes (j, i)
+        rows = ci[..., None] * B[None, :, :, None] - cj[..., None] * B[None, :, None]
+        rhs = -(ci * b0[None, :, :, None] - cj * b0[None, :, None, :])
+        params, counts = _exit_params(rows, rhs, k)
+        V = params.shape[3]
+        # region vertices in the cell chart and their projections
+        T = pts[:, 1:] - pts[:, :1]
+        part = pts[None, :, None, :1] + params @ T[None, :, None]   # (C, P, J, V, m)
+        b_part = chart.barycentric(part.reshape(-1, m)).reshape(C, P, J, V, J)
+        c_exit = c[:, None, :, None]
+        denom = c_exit - np.moveaxis(np.diagonal(b_part, axis1=2, axis2=4), -1, 2)
+        live = np.arange(V) < counts[..., None]
+        exits = ~(live & (denom <= 0)).any(axis=(1, 2, 3))
+        apex = x[:, None, None, None, :]
+        image = apex + (c_exit / denom)[..., None] * (part - apex)
+        images = np.empty((C, P, J, V, m - 1))
+        for j in range(J):
+            facet = cell[:j] + cell[j + 1:]
+            flat = image[:, :, j].reshape(-1, m)
+            images[:, :, j] = cx.convert_coords(cell, facet, flat).reshape(C, P, V, m - 1)
 
-    for j in range(m + 1):
-        rows, rhs = [], []
-        for i in range(m + 1):
-            if i == j:
-                continue
-            rows.append(c[i] * B[j] - c[j] * B[i])
-            rhs.append(-(c[i] * b0[j] - c[j] * b0[i]))
+        fan = _fan(k, V)
+        in_fan = counts[..., None] > fan[:, -1]                     # (C, P, J, S)
+        face_volumes = np.where(in_fan, simplex_volume(images[..., fan, :]), 0.0)
+        piece_proj = _running_sum(face_volumes.reshape(C, P, -1))
         if k == 0:
-            # constraints reduce to 0 <= rhs; argmin ties go to the lowest j
-            if all(r >= -_CLIP_TOL for r in rhs):
-                yield j, np.zeros((1, 0))
-                return
-            continue
-        if k == 1:
-            seg = _clip_interval([row[0] for row in rows], rhs)
-            if seg is not None:
-                yield j, np.array([[seg[0]], [seg[1]]])
-            continue
-        poly = _clip_polygon(
-            [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])],
-            rows,
-            rhs,
-        )
-        if _polygon_area(poly) > _CLIP_TOL:
-            yield j, np.vstack(poly)
+            piece_tracks = np.zeros((C, P))
+        else:
+            # the track of a region is the cone over its image minus the cone
+            # over the region itself, both from the center
+            apex = np.broadcast_to(apex[..., None, :], in_fan.shape + (1, m))
 
+            def cones(verts):
+                cone = np.concatenate([verts[..., fan, :], apex], axis=-2)
+                return _running_sum(np.where(in_fan, simplex_volume(cone), 0.0))
 
-def _param_to_chart(piece: Piece, params: np.ndarray) -> np.ndarray:
-    T = piece.points[1:] - piece.points[0]
-    if params.shape[1] == 0:
-        return np.repeat(piece.points[:1], params.shape[0], axis=0)
-    return piece.points[0] + params @ T
-
-
-def _project_from(chart, x0: np.ndarray, pts: np.ndarray, j: int) -> np.ndarray:
-    bary = chart.barycentric(pts)
-    cj = chart.barycentric(x0[None, :])[0][j]
-    denom = cj - bary[:, j]
-    if np.any(denom <= 0):
-        raise FloatingPointError("projection ray does not exit through facet")
-    s = (cj / denom)[:, None]
-    return x0 + s * (pts - x0)
-
-
-def _fan_simplices(verts: np.ndarray, k: int):
-    """Triangulate a convex polytope vertex list into k-simplices."""
-    n = verts.shape[0]
-    if n == k + 1:
-        yield verts
-        return
-    if k == 2:
-        for i in range(1, n - 1):
-            yield verts[[0, i, i + 1]]
-    elif k == 1:
-        yield verts[[0, n - 1]]
-    else:
-        yield verts[: k + 1]
-
-
-def _cone_volume(apex: np.ndarray, verts: np.ndarray, k: int) -> float:
-    """(k+1)-volume of the cone from apex over a convex polytope."""
-    total = 0.0
-    for simplex in _fan_simplices(verts, k):
-        total += simplex_volume(np.vstack([simplex, apex[None, :]]))
-    return total
+            swept = np.where(counts > 0, cones(image) - cones(part), 0.0)
+            piece_tracks = np.maximum(_running_sum(swept), 0.0)
+    return Projections(
+        cell, k, x, _running_sum(piece_proj), _running_sum(piece_tracks), piece_tracks,
+        clear, exits, params, counts, images,
+    )
 
 
 def project_piece(cx: GeoComplex, cell: Cell, x0: np.ndarray, piece: Piece):
@@ -186,22 +292,10 @@ def project_piece(cx: GeoComplex, cell: Cell, x0: np.ndarray, piece: Piece):
 
     Returns (pieces on facet cells, projected k-volume, track (k+1)-volume).
     """
-    chart = cx.chart(cell)
-    k = piece.points.shape[0] - 1
-    new_pieces: list[Piece] = []
-    proj_volume = 0.0
-    track = 0.0
-    for j, params in _exit_regions(cx, cell, x0, piece):
-        part = _param_to_chart(piece, params)
-        image = _project_from(chart, x0, part, j)
-        if k >= 1:
-            track += _cone_volume(x0, image, k) - _cone_volume(x0, part, k)
-        facet = cell[:j] + cell[j + 1:]
-        image_facet = cx.convert_coords(cell, facet, image)
-        for simplex in _fan_simplices(image_facet, k):
-            proj_volume += simplex_volume(simplex)
-            new_pieces.append(Piece(facet, simplex))
-    return new_pieces, proj_volume, max(track, 0.0)
+    scored = project_pieces(cx, cell, np.asarray(x0, dtype=float)[None, :], [piece])
+    if not scored.exits[0]:
+        raise FloatingPointError("projection ray does not exit through facet")
+    return scored.image_pieces(0), float(scored.proj[0]), float(scored.track[0])
 
 
 def radial_project(cx: GeoComplex, cell: Cell, x0, piece: Piece) -> list[Piece]:
@@ -215,7 +309,7 @@ def radial_project(cx: GeoComplex, cell: Cell, x0, piece: Piece) -> list[Piece]:
     for j in range(len(cell)):
         if np.abs(bary[:, j]).max() <= CENTER_CLEARANCE:
             return [piece]
-    if _center_too_close(x0, piece, len(cell) - 1):
+    if _too_close(x0[None, :], piece.points[None], len(cell) - 1)[0]:
         raise ValueError("center is within clearance of the piece; reselect")
     return project_piece(cx, cell, x0, piece)[0]
 
@@ -224,48 +318,9 @@ def radial_project(cx: GeoComplex, cell: Cell, x0, piece: Piece) -> list[Piece]:
 # center selection
 # ---------------------------------------------------------------------------
 
-
-def _dist_to_affine_hull(x: np.ndarray, pts: np.ndarray) -> float:
-    base = pts[0]
-    span = pts[1:] - base
-    v = x - base
-    if span.shape[0] == 0:
-        return float(np.linalg.norm(v))
-    coef = np.linalg.lstsq(span.T, v, rcond=None)[0]
-    return float(np.linalg.norm(v - coef @ span))
-
-
-def _dist_to_piece(x: np.ndarray, piece: Piece) -> float:
-    pts = piece.points
-    k = pts.shape[0] - 1
-    if k == 0:
-        return float(np.linalg.norm(x - pts[0]))
-    if k == 1:
-        d = pts[1] - pts[0]
-        t = float(np.clip((x - pts[0]) @ d / (d @ d), 0.0, 1.0))
-        return float(np.linalg.norm(x - (pts[0] + t * d)))
-    # k = 2: exact enough for clearance tests: hull distance when the foot
-    # lies inside, otherwise the nearest edge
-    base, span = pts[0], pts[1:] - pts[0]
-    coef, *_ = np.linalg.lstsq(span.T, x - base, rcond=None)
-    if coef.min() >= 0 and coef.sum() <= 1:
-        return _dist_to_affine_hull(x, pts)
-    return min(
-        _dist_to_piece(x, Piece(piece.host, pts[[i, j]]))
-        for i in range(3)
-        for j in range(i + 1, 3)
-    )
-
-
-def _center_too_close(x0: np.ndarray, piece: Piece, m: int) -> bool:
-    k = piece.points.shape[0] - 1
-    if _dist_to_piece(x0, piece) < CENTER_CLEARANCE:
-        return True
-    # a center inside the affine hull of a lower-dimensional piece breaks the
-    # radial-graph property of the projection
-    if k < m and _dist_to_affine_hull(x0, piece.points) < CENTER_CLEARANCE:
-        return True
-    return False
+#: the default acceptance rule looks at the first _BATCH valid candidates;
+#: candidates are drawn and scored in blocks of the same size
+_BATCH = 8
 
 
 @dataclass
@@ -274,6 +329,14 @@ class CenterInfo:
     ratio: float
     tries: int
     c_target: float
+    #: image pieces of the projection from point, and the homotopy-track
+    #: volume of each input piece's projection
+    pieces: tuple[Piece, ...] = ()
+    tracks: tuple[float, ...] = ()
+    #: candidates rejected before the choice: within clearance of a piece, or
+    #: with an exit ray that misses its facet
+    rejected_clearance: int = 0
+    rejected_exit: int = 0
 
 
 def select_center(cx: GeoComplex, cell: Cell, pieces: Sequence[Piece],
@@ -283,7 +346,9 @@ def select_center(cx: GeoComplex, cell: Cell, pieces: Sequence[Piece],
 
     Accepts the first candidate whose projected volume and homotopy track are
     both at most c_target times the piece volume.  Without an explicit
-    c_target, 4x the median ratio of a small candidate batch is used.
+    c_target, 4x the median ratio of the first 8 valid candidates is used.
+    Candidates are drawn from rng in blocks and each block is scored by one
+    project_pieces call; the choice is that of drawing them one at a time.
     """
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     chart = cx.chart(cell)
@@ -293,41 +358,58 @@ def select_center(cx: GeoComplex, cell: Cell, pieces: Sequence[Piece],
         return CenterInfo(bary @ chart.model, 0.0, 0, 0.0)
     total = sum(piece_volume(p) for p in pieces)
     full_dim = all(p.points.shape[0] - 1 == m for p in pieces)
+    rejected_clearance = rejected_exit = 0  # candidates rejected so far
+
+    def info(candidate, target):
+        ratio, attempt, scored, i = candidate
+        return CenterInfo(
+            scored.centers[i], ratio, attempt, target,
+            tuple(scored.image_pieces(i)), tuple(map(float, scored.piece_tracks[i])),
+            rejected_clearance, rejected_exit,
+        )
 
     candidates = []
-    for attempt in range(1, max_tries + 1):
-        x0 = rng.dirichlet(np.ones(m + 1)) @ chart.model
-        if any(_center_too_close(x0, p, m) for p in pieces):
-            continue
+    attempt = 0
+    while attempt < max_tries:
+        draws = rng.dirichlet(np.ones(m + 1), size=min(_BATCH, max_tries - attempt))
+        centers = draws @ chart.model
         if full_dim:
             # projecting a full-dimensional piece to the boundary kills its
             # volume and sweeps no (k+1)-volume inside the cell
-            return CenterInfo(x0, 0.0, attempt, c_target or 0.0)
-        proj = track = 0.0
-        try:
-            for p in pieces:
-                _, dp, dt = project_piece(cx, cell, x0, p)
-                proj += dp
-                track += dt
-        except FloatingPointError:
+            clear = ~_too_close(centers, np.stack([p.points for p in pieces]), m)
+            if clear.any():
+                i = int(np.argmax(clear))
+                return CenterInfo(centers[i], 0.0, attempt + i + 1, c_target or 0.0,
+                                  rejected_clearance=rejected_clearance + i)
+            rejected_clearance += len(centers)
+            attempt += len(centers)
             continue
-        ratio = max(proj, track) / total
-        candidates.append((ratio, x0, attempt))
-        if c_target is None and len(candidates) >= min(8, max_tries):
-            c_target = 4.0 * float(np.median([r for r, _, _ in candidates]))
-            for r, x, a in candidates:
-                if r <= c_target:
-                    return CenterInfo(x, r, a, c_target)
-        elif c_target is not None and ratio <= c_target:
-            return CenterInfo(x0, ratio, attempt, c_target)
+        scored = project_pieces(cx, cell, centers, pieces)
+        for i in range(len(centers)):
+            attempt += 1
+            if not scored.clear[i]:
+                rejected_clearance += 1
+                continue
+            if not scored.exits[i]:
+                rejected_exit += 1
+                continue
+            ratio = float(max(scored.proj[i], scored.track[i])) / total
+            candidates.append((ratio, attempt, scored, i))
+            if c_target is None and len(candidates) >= min(_BATCH, max_tries):
+                c_target = 4.0 * float(np.median([c[0] for c in candidates]))
+                for candidate in candidates:
+                    if candidate[0] <= c_target:
+                        return info(candidate, c_target)
+            elif c_target is not None and ratio <= c_target:
+                return info(candidates[-1], c_target)
     if candidates and c_target is None:
         # tiny max_tries: fall back to the best candidate seen
         best = min(candidates, key=lambda c: c[0])
-        return CenterInfo(best[1], best[0], best[2], 4.0 * best[0])
+        return info(best, 4.0 * best[0])
     best = min(candidates, key=lambda c: c[0]) if candidates else None
     raise CenterSelectionError(
         f"no acceptable center in {max_tries} tries for cell {cell}",
-        best=CenterInfo(best[1], best[0], best[2], c_target or 0.0) if best else None,
+        best=info(best, c_target or 0.0) if best else None,
     )
 
 
@@ -388,20 +470,29 @@ def _covers_cell(cx: GeoComplex, cell: Cell, pieces: Sequence[Piece]) -> bool:
 
 @dataclass(frozen=True)
 class StepTrace:
+    """What one collapse level did.
+
+    ``cells`` counts the m-cells holding pieces; ``pieces_in`` and
+    ``pieces_out`` count the pieces of the chain entering and leaving the
+    level.  ``center_tries`` sums the tries of the accepted centers, and
+    ``rejected_clearance`` and ``rejected_exit`` count the candidates that
+    center selection rejected, by reason.  Every field is deterministic for
+    a given seed.
+    """
+
     level: int
     cells: int
     volume_before: float
     volume_after: float
     track: float
+    pieces_in: int
+    pieces_out: int
+    center_tries: int
+    rejected_clearance: int
+    rejected_exit: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "cells": self.cells,
-            "volume_before": self.volume_before,
-            "volume_after": self.volume_after,
-            "track": self.track,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -431,10 +522,13 @@ def ff_step(cx: GeoComplex, chain: PolyChain, m: int, seed: int,
     """One collapse level: push pieces out of the open m-cells.
 
     For m > k every m-hosted piece is radially projected to the cell
-    boundary; for m = k cells are kept exactly when covered.  Pieces hosted
-    in the (m-1)-skeleton pass through unchanged.  Returns the new chain and
-    the homotopy-track volume of this level.
+    boundary from the center select_center chose, reusing the images it
+    scored that center with; for m = k cells are kept exactly when covered.
+    Pieces hosted in the (m-1)-skeleton pass through unchanged.  Returns the
+    new chain, the level's StepTrace (with its homotopy-track volume), the
+    cells kept whole and the largest accepted center ratio.
     """
+    before = chain.volume()
     chain = normalize_chain(cx, chain)
     if chain.max_host_dim() > m:
         raise ValueError(f"chain is not supported in the {m}-skeleton")
@@ -450,6 +544,7 @@ def ff_step(cx: GeoComplex, chain: PolyChain, m: int, seed: int,
     whole_cells = []
     track = 0.0
     max_ratio = 0.0
+    tries = rejected_clearance = rejected_exit = 0
     for cell in sorted(groups):
         pieces = groups[cell]
         if m == chain.k:
@@ -463,12 +558,16 @@ def ff_step(cx: GeoComplex, chain: PolyChain, m: int, seed: int,
         info = select_center(cx, cell, pieces, c_target=c_target,
                              max_tries=max_tries, rng=rng)
         max_ratio = max(max_ratio, info.ratio)
-        for p in pieces:
-            projected, _, dt = project_piece(cx, cell, info.point, p)
-            new_pieces.extend(projected)
+        new_pieces.extend(info.pieces)
+        for dt in info.tracks:
             track += dt
+        tries += info.tries
+        rejected_clearance += info.rejected_clearance
+        rejected_exit += info.rejected_exit
     out = normalize_chain(cx, PolyChain(chain.k, new_pieces))
-    return out, track, tuple(whole_cells), max_ratio
+    trace = StepTrace(m, len(groups), before, out.volume(), track, len(chain),
+                      len(out), tries, rejected_clearance, rejected_exit)
+    return out, trace, tuple(whole_cells), max_ratio
 
 
 def ff_deform(cx: GeoComplex, chain: PolyChain, seed: int,
@@ -487,16 +586,14 @@ def ff_deform(cx: GeoComplex, chain: PolyChain, seed: int,
     max_ratio = 0.0
     whole: tuple[Cell, ...] = ()
     for m in range(cx.dim, chain.k - 1, -1):
-        before = chain.volume()
-        cells = len({p.host for p in chain.pieces if len(p.host) - 1 == m})
-        chain, track, whole_m, ratio = ff_step(cx, chain, m, seed,
-                                               c_target=c_target,
-                                               max_tries=max_tries)
-        total_track += track
+        chain, step, whole_m, ratio = ff_step(cx, chain, m, seed,
+                                              c_target=c_target,
+                                              max_tries=max_tries)
+        total_track += step.track
         max_ratio = max(max_ratio, ratio)
         if m == chain.k:
             whole = whole_m
-        steps.append(StepTrace(m, cells, before, chain.volume(), track))
+        steps.append(step)
     return FFResult(chain, total_track, tuple(steps), whole, max_ratio)
 
 

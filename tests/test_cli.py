@@ -153,3 +153,27 @@ def test_usage_error_exits_two_with_one_line(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_TRIANGLE = '"vertices": [[0, 0], [1, 0], [0, 1]]'
+
+
+@pytest.mark.parametrize("mesh", [
+    '{"vertices": [[0, 0]]}',
+    'not json',
+    '[1, 2]',
+    '{"vertices": [0, 1], "simplices": [[0, 1]]}',
+    '{"vertices": [[0, 0], [1, 0], [NaN, 1]], "simplices": [[0, 1, 2]]}',
+    '{' + _TRIANGLE + ', "simplices": [[0, 0, 1]]}',
+    '{' + _TRIANGLE + ', "simplices": [[0, 1, 5]]}',
+    '{' + _TRIANGLE + ', "simplices": 7}',
+    '{"vertices": [[0, 0], [1, 0], [2, 0]], "simplices": [[0, 1, 2]]}',
+], ids=["no-simplices", "not-json", "not-an-object", "flat-vertices", "nan-vertex",
+        "repeated-vertex", "unknown-vertex", "simplices-not-a-list", "degenerate-cell"])
+def test_malformed_mesh_exits_two_with_one_line(capsys, tmp_path, mesh):
+    path = tmp_path / "mesh.json"
+    path.write_text(mesh)
+    code, out, err = run_cli(capsys, "verify", "ff", "--mesh", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed --mesh ") and err.count("\n") == 1

@@ -1,12 +1,14 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symgeo.ffengine import (
+    CenterSelectionError,
     GeoComplex,
     Piece,
     PolyChain,
@@ -28,8 +30,9 @@ from symgeo.ffengine import (
     vanishing_threshold,
     whole_edges_of,
 )
-from symgeo.ffengine import homology
-from symgeo.ffengine.chains import piece_volume
+from symgeo.ffengine import deform, homology
+from symgeo.ffengine.chains import normalize_host, piece_volume
+from symgeo.ffengine.complexes import simplex_volume
 from symgeo.ffengine.deform import project_piece
 
 
@@ -304,8 +307,8 @@ class TestFFStep:
         edge = (0, 1)
         piece = Piece(edge, np.array([[0.2], [0.8]]))
         chain = PolyChain(1, [piece])
-        out, track, _, _ = ff_step(unit_square, chain, 2, seed=0)
-        assert track == 0.0
+        out, step, _, _ = ff_step(unit_square, chain, 2, seed=0)
+        assert step.track == 0.0
         assert len(out) == 1
         assert out.pieces[0].host == edge
 
@@ -313,16 +316,16 @@ class TestFFStep:
         cell = (0, 1, 2)
         amb = np.array([[0.5, 0.2], [0.75, 0.4]])
         chain = PolyChain(1, [Piece(cell, unit_square.to_chart(cell, amb))])
-        out, track, _, _ = ff_step(unit_square, chain, 2, seed=1)
+        out, step, _, _ = ff_step(unit_square, chain, 2, seed=1)
         assert all(len(p.host) == 2 for p in out.pieces)
-        assert 0.0 < track <= unit_square.cell_volume(cell)
+        assert 0.0 < step.track <= unit_square.cell_volume(cell)
         validate_chain(unit_square, out)
 
     def test_full_cell_kept_at_chain_level(self, unit_square):
         cell = (0, 1, 2)
         chain = PolyChain(2, [Piece(cell, unit_square.chart(cell).model.copy())])
-        out, track, whole, _ = ff_step(unit_square, chain, 2, seed=2)
-        assert track == 0.0
+        out, step, whole, _ = ff_step(unit_square, chain, 2, seed=2)
+        assert step.track == 0.0
         assert whole == (cell,)
         assert out.volume() == pytest.approx(0.5)
 
@@ -330,7 +333,7 @@ class TestFFStep:
         cell = (0, 1, 2)
         half = np.array([[0.1, 0.05], [0.5, 0.1], [0.4, 0.3]])
         chain = PolyChain(2, [Piece(cell, unit_square.to_chart(cell, half))])
-        out, track, whole, _ = ff_step(unit_square, chain, 2, seed=3)
+        out, _, whole, _ = ff_step(unit_square, chain, 2, seed=3)
         assert whole == ()
         assert out.volume() == 0.0
 
@@ -413,11 +416,32 @@ class TestFFDeform:
         doc = result.to_json_dict()
         assert [s["level"] for s in doc["steps"]] == [2, 1]
         assert all(
-            set(s) == {"level", "cells", "volume_before", "volume_after", "track"}
+            set(s) == {"level", "cells", "volume_before", "volume_after", "track",
+                       "pieces_in", "pieces_out", "center_tries",
+                       "rejected_clearance", "rejected_exit"}
             for s in doc["steps"]
         )
         assert doc["steps"][0]["track"] == pytest.approx(result.total_track)
         json.dumps(doc)  # serializable
+
+    def test_step_counters(self, torus8, monkeypatch):
+        infos = []
+        select = deform.select_center
+        monkeypatch.setattr(deform, "select_center",
+                            lambda *a, **kw: infos.append(select(*a, **kw)) or infos[-1])
+        chain, _ = random_loop_chain(torus8, seed=30)
+        result = ff_deform(torus8, chain, seed=30)
+        top, edges = result.steps
+        assert (top.pieces_in, top.pieces_out) == (len(chain), edges.pieces_in)
+        assert edges.pieces_out == len(result.final)
+        assert len(infos) == top.cells
+        assert top.center_tries == sum(i.tries for i in infos) >= top.cells
+        assert top.rejected_clearance == sum(i.rejected_clearance for i in infos)
+        assert top.rejected_exit == sum(i.rejected_exit for i in infos)
+        # the chain's own level only decides coverage
+        assert (edges.center_tries, edges.rejected_clearance, edges.rejected_exit) == (0, 0, 0)
+        again = ff_deform(torus8, chain, seed=30).to_json_dict()
+        assert json.dumps(again) == json.dumps(result.to_json_dict())
 
     def test_rejects_top_dimension(self, torus8):
         cell = torus8.cells_of_dim(2)[0]
@@ -527,3 +551,338 @@ class TestGf2Engine:
         target = data.draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
         expected = _pack(target) in _gf2_span(mat.T)
         assert homology.gf2_solve(mat, np.array(target, dtype=np.uint8)) == expected
+
+
+# ---------------------------------------------------------------------------
+# the batched exit-facet kernel against the per-candidate, per-piece loop
+# ---------------------------------------------------------------------------
+
+_CLIP_TOL = deform._CLIP_TOL
+
+
+def _ref_clip_interval(constraints, rhs):
+    lo, hi = 0.0, 1.0
+    for a, d in zip(constraints, rhs):
+        if abs(a) < _CLIP_TOL:
+            if d < -_CLIP_TOL:
+                return None
+            continue
+        bound = d / a
+        if a > 0:
+            hi = min(hi, bound)
+        else:
+            lo = max(lo, bound)
+    if hi - lo <= _CLIP_TOL:
+        return None
+    return lo, hi
+
+
+def _ref_fan(verts, k):
+    n = verts.shape[0]
+    if n == k + 1:
+        return [verts]
+    if k == 2:
+        return [verts[[0, i, i + 1]] for i in range(1, n - 1)]
+    return [verts[[0, n - 1]]]
+
+
+def _ref_cone_volume(apex, verts, k):
+    return sum(simplex_volume(np.vstack([s, apex[None, :]])) for s in _ref_fan(verts, k))
+
+
+def _ref_project_piece(cx, cell, x0, piece):
+    """Oracle: one center, one piece, one exit facet at a time, as
+    project_piece computed it before the batched kernel."""
+    chart = cx.chart(cell)
+    m, k = len(cell) - 1, piece.points.shape[0] - 1
+    c = chart.barycentric(x0[None, :])[0]
+    b = chart.barycentric(piece.points)
+    b0, B = b[0], (b[1:] - b[0]).T
+    T = piece.points[1:] - piece.points[0]
+    out, proj, track = [], 0.0, 0.0
+    for j in range(m + 1):
+        others = [i for i in range(m + 1) if i != j]
+        rows = [c[i] * B[j] - c[j] * B[i] for i in others]
+        rhs = [-(c[i] * b0[j] - c[j] * b0[i]) for i in others]
+        if k == 0:
+            if not all(r >= -_CLIP_TOL for r in rhs):
+                continue
+            params = np.zeros((1, 0))
+        elif k == 1:
+            seg = _ref_clip_interval([row[0] for row in rows], rhs)
+            if seg is None:
+                continue
+            params = np.array([[seg[0]], [seg[1]]])
+        else:
+            triangle = [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+            poly = deform._clip_polygon(triangle, rows, rhs)
+            if deform._polygon_area(poly) <= _CLIP_TOL:
+                continue
+            params = np.vstack(poly)
+        part = piece.points[0] + params @ T
+        denom = c[j] - chart.barycentric(part)[:, j]
+        if np.any(denom <= 0):
+            raise FloatingPointError("projection ray does not exit through facet")
+        image = x0 + (c[j] / denom)[:, None] * (part - x0)
+        if k >= 1:
+            track += _ref_cone_volume(x0, image, k) - _ref_cone_volume(x0, part, k)
+        facet = cell[:j] + cell[j + 1:]
+        for simplex in _ref_fan(cx.convert_coords(cell, facet, image), k):
+            proj += simplex_volume(simplex)
+            out.append(Piece(facet, simplex))
+        if k == 0:
+            break  # a point leaves through its first exit facet only
+    return out, proj, max(track, 0.0)
+
+
+def _ref_dist_to_hull(x, pts):
+    span, v = pts[1:] - pts[0], x - pts[0]
+    if span.shape[0] == 0:
+        return float(np.linalg.norm(v))
+    coef = np.linalg.lstsq(span.T, v, rcond=None)[0]
+    return float(np.linalg.norm(v - coef @ span))
+
+
+def _ref_dist_to_piece(x, pts):
+    k = pts.shape[0] - 1
+    if k == 0:
+        return float(np.linalg.norm(x - pts[0]))
+    if k == 1:
+        d = pts[1] - pts[0]
+        t = float(np.clip((x - pts[0]) @ d / (d @ d), 0.0, 1.0))
+        return float(np.linalg.norm(x - (pts[0] + t * d)))
+    coef = np.linalg.lstsq((pts[1:] - pts[0]).T, x - pts[0], rcond=None)[0]
+    if coef.min() >= 0 and coef.sum() <= 1:
+        return _ref_dist_to_hull(x, pts)
+    return min(_ref_dist_to_piece(x, pts[[i, j]]) for i in range(3) for j in range(i + 1, 3))
+
+
+def _ref_too_close(x, piece, m):
+    pts = piece.points
+    if _ref_dist_to_piece(x, pts) < deform.CENTER_CLEARANCE:
+        return True
+    return pts.shape[0] - 1 < m and _ref_dist_to_hull(x, pts) < deform.CENTER_CLEARANCE
+
+
+def _assert_same_pieces(got, want, tol=1e-12):
+    assert [p.host for p in got] == [p.host for p in want]
+    for a, b in zip(got, want):
+        assert np.allclose(a.points, b.points, rtol=0.0, atol=tol)
+
+
+_interior = st.floats(0.02, 1.0, allow_nan=False)
+
+
+def _vertex_weights(m):
+    # a piece vertex lies on one facet or keeps clear of all: _CLIP_TOL is
+    # absolute, and constraint values scale with the distance to a face, so
+    # a vertex within ~1e-8 of a face blurs the exit regions (see CHANGES.md)
+    weights = st.lists(st.floats(1e-3, 1.0), min_size=m + 1, max_size=m + 1)
+    on_facet = st.one_of(st.none(), st.integers(0, m))
+    return st.tuples(weights, on_facet).map(
+        lambda wf: [0.0 if i == wf[1] else w for i, w in enumerate(wf[0])])
+
+
+def _points(cx, cell, weights):
+    w = np.array(weights, dtype=float)
+    return (w / w.sum(axis=-1, keepdims=True)) @ cx.chart(cell).model
+
+
+@st.composite
+def _kernel_cases(draw, cx, cells, k):
+    cell = draw(st.sampled_from(cells))
+    m = len(cell) - 1
+    centers = _points(cx, cell, draw(st.lists(
+        st.lists(_interior, min_size=m + 1, max_size=m + 1), min_size=1, max_size=5)))
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        corners = draw(st.lists(_vertex_weights(m), min_size=k + 1, max_size=k + 1))
+        piece = Piece(cell, _points(cx, cell, corners))
+        # pieces as a normalized chain holds them: hosted by the cell itself,
+        # not by a face, and of full dimension k (the kernel and the oracle
+        # measure clearance alike only then; a chain prunes the others)
+        assume(normalize_host(cx, piece).host == cell)
+        assume(k == 0 or simplex_volume(piece.points) > 1e-3)
+        pieces.append(piece)
+    return cx, cell, centers, pieces
+
+
+_UNIT_SQUARE = GeoComplex(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+                          [(0, 1, 2), (0, 2, 3)])
+_TORUS8 = flat_torus_complex(8)
+_TETRA = GeoComplex(np.vstack([np.zeros(3), np.eye(3)]), [(0, 1, 2, 3)])
+_KERNEL_CASES = st.one_of(
+    _kernel_cases(_UNIT_SQUARE, [(0, 1, 2), (0, 2, 3)], 1),
+    _kernel_cases(_UNIT_SQUARE, [(0, 1, 2)], 0),
+    _kernel_cases(_TORUS8, _TORUS8.cells_of_dim(2)[:16], 1),
+    _kernel_cases(_TETRA, [(0, 1, 2, 3)], 2),
+    _kernel_cases(_TETRA, [(0, 1, 2, 3)], 1),
+)
+
+
+class TestProjectPieces:
+    """project_pieces against single-candidate calls and the scalar loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_KERNEL_CASES)
+    def test_batch_row_equals_single_call(self, case):
+        cx, cell, centers, pieces = case
+        batch = deform.project_pieces(cx, cell, centers, pieces)
+        for i, x in enumerate(centers):
+            one = deform.project_pieces(cx, cell, x[None, :], pieces)
+            assert (batch.clear[i], batch.exits[i]) == (one.clear[0], one.exits[0])
+            assert np.array_equal(batch.counts[i], one.counts[0])
+            if batch.clear[i] and batch.exits[i]:
+                assert batch.proj[i] == pytest.approx(one.proj[0], rel=0, abs=1e-12)
+                assert np.allclose(batch.piece_tracks[i], one.piece_tracks[0],
+                                   rtol=0, atol=1e-12)
+                _assert_same_pieces(batch.image_pieces(i), one.image_pieces(0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_KERNEL_CASES)
+    def test_agrees_with_scalar_loop(self, case):
+        cx, cell, centers, pieces = case
+        m = len(cell) - 1
+        batch = deform.project_pieces(cx, cell, centers, pieces)
+        for i, x in enumerate(centers):
+            assert batch.clear[i] == (not any(_ref_too_close(x, p, m) for p in pieces))
+            try:
+                ref = [_ref_project_piece(cx, cell, x, p) for p in pieces]
+            except FloatingPointError:
+                assert not batch.exits[i]
+                continue
+            assert batch.exits[i]
+            if not batch.clear[i]:
+                continue
+            _assert_same_pieces(batch.image_pieces(i), [q for r in ref for q in r[0]])
+            assert batch.proj[i] == pytest.approx(sum(r[1] for r in ref), rel=0, abs=1e-12)
+            assert np.allclose(batch.piece_tracks[i], [r[2] for r in ref], rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_KERNEL_CASES, st.integers(0, 2 ** 32 - 1))
+    def test_exit_regions_partition_the_piece(self, case, seed):
+        # centers drawn as select_center draws them: a center in the
+        # hyperplane c_j b_i = c_i b_j through a piece (probability 0) puts
+        # the part of the piece there in the regions of both facets
+        cx, cell, _, pieces = case
+        draws = np.random.default_rng(seed).dirichlet(np.ones(len(cell)), size=5)
+        batch = deform.project_pieces(cx, cell, draws @ cx.chart(cell).model, pieces)
+        k = batch.k
+        for i in np.flatnonzero(batch.clear & batch.exits):
+            for p in range(len(pieces)):
+                regions = [batch.params[i, p, j, :n]
+                           for j, n in enumerate(batch.counts[i, p]) if n]
+                if k == 0:
+                    assert len(regions) == 1
+                elif k == 1:
+                    bounds = sorted((r[0, 0], r[1, 0]) for r in regions)
+                    assert bounds[0][0] == pytest.approx(0.0, abs=1e-9)
+                    assert bounds[-1][1] == pytest.approx(1.0, abs=1e-9)
+                    for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
+                        assert lo == pytest.approx(hi, abs=1e-9)
+                else:
+                    area = sum(deform._polygon_area(list(r)) for r in regions)
+                    assert area == pytest.approx(0.5, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_KERNEL_CASES)
+    def test_images_lie_on_their_exit_facets(self, case):
+        cx, cell, centers, pieces = case
+        batch = deform.project_pieces(cx, cell, centers, pieces)
+        for i in np.flatnonzero(batch.clear & batch.exits):
+            for piece in batch.image_pieces(i):
+                j = next(j for j, v in enumerate(cell) if v not in piece.host)
+                bary = cx.barycentric(cell, cx.convert_coords(piece.host, cell, piece.points))
+                assert np.abs(bary[:, j]).max() <= 1e-9
+                assert bary.min() >= -1e-9
+
+    def test_center_on_point_piece_fails_exit_ray(self, unit_square):
+        # a point piece at the center: every exit denominator c_j - b_j is 0
+        cell = (0, 1, 2)
+        centers = unit_square.to_chart(cell, np.array([[0.6, 0.3], [0.7, 0.2]]))
+        piece = Piece(cell, centers[:1].copy())
+        batch = deform.project_pieces(unit_square, cell, centers, [piece])
+        assert batch.exits.tolist() == [False, True]
+        assert batch.clear.tolist() == [False, True]
+        with pytest.raises(FloatingPointError):
+            project_piece(unit_square, cell, centers[0], piece)
+        with pytest.raises(FloatingPointError):
+            _ref_project_piece(unit_square, cell, centers[0], piece)
+
+
+class _FixedDraws(np.random.Generator):
+    """Generator whose Dirichlet draws are given rows, in order."""
+
+    def __init__(self, rows):
+        super().__init__(np.random.PCG64(0))
+        self.rows = np.asarray(rows, dtype=float)
+
+    def dirichlet(self, alpha, size=None):
+        out, self.rows = self.rows[:size], self.rows[size:]
+        return out
+
+
+class TestCenterRejections:
+    weights = [[0.2, 0.3, 0.5], [0.5, 0.3, 0.2], [0.3, 0.4, 0.3]]
+
+    def _point_at_first_draw(self, cx, cell):
+        return Piece(cell, np.array(self.weights[:1]) @ cx.chart(cell).model)
+
+    def test_clearance_rejection(self, unit_square):
+        cell = (0, 1, 2)
+        piece = self._point_at_first_draw(unit_square, cell)
+        info = select_center(unit_square, cell, [piece], c_target=1e9,
+                             rng=_FixedDraws(self.weights))
+        assert (info.tries, info.rejected_clearance, info.rejected_exit) == (2, 1, 0)
+
+    def test_exit_ray_rejection(self, unit_square, monkeypatch):
+        # with the clearance test off, the candidate on the point piece
+        # reaches the exit-ray verdict and fails it
+        monkeypatch.setattr(deform, "_too_close",
+                            lambda x, pts, m: np.zeros(len(x), dtype=bool))
+        cell = (0, 1, 2)
+        piece = self._point_at_first_draw(unit_square, cell)
+        info = select_center(unit_square, cell, [piece], c_target=1e9,
+                             rng=_FixedDraws(self.weights))
+        assert (info.tries, info.rejected_clearance, info.rejected_exit) == (2, 0, 1)
+        assert len(info.pieces) == 1 and len(info.tracks) == 1
+
+
+# ---------------------------------------------------------------------------
+# golden center choices
+# ---------------------------------------------------------------------------
+
+_GOLDEN = json.loads((Path(__file__).parent / "data" / "ff_golden.json").read_text())
+
+
+class TestFFGolden:
+    """Center choices, whole cells, tracks and ratios of seeded deformations
+    on the 8x8 torus, recorded from the scalar per-candidate, per-piece
+    projection loop: three loops per winding class with the default
+    acceptance rule, four with c_target = 3, one with c_target = 1.5 and one
+    that runs out of tries at c_target = 2."""
+
+    @pytest.mark.parametrize("case", _GOLDEN, ids=lambda c: f"seed{c['seed']}-c{c['c_target']}")
+    def test_same_choices(self, torus8, monkeypatch, case):
+        tries = []
+        select = deform.select_center
+
+        def recording(cx, cell, pieces, **kwargs):
+            info = select(cx, cell, pieces, **kwargs)
+            tries.append([list(cell), info.tries])
+            return info
+
+        monkeypatch.setattr(deform, "select_center", recording)
+        chain, _ = random_loop_chain(torus8, seed=case["seed"],
+                                     winding=tuple(case["winding"]))
+        if "error" in case:
+            with pytest.raises(CenterSelectionError) as err:
+                ff_deform(torus8, chain, seed=case["seed"], c_target=case["c_target"])
+            assert str(err.value) == case["error"]
+            assert tries == case["tries"]
+            return
+        result = ff_deform(torus8, chain, seed=case["seed"], c_target=case["c_target"])
+        assert tries == case["tries"]
+        assert [list(c) for c in result.whole_cells] == case["whole_cells"]
+        assert result.total_track == pytest.approx(case["total_track"], rel=1e-9, abs=0)
+        assert result.max_cell_ratio == pytest.approx(case["max_cell_ratio"], rel=1e-9, abs=0)
