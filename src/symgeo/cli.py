@@ -9,12 +9,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import modelcheck, spherical
 from .exponents import (
     cx_rows,
     kappa_rows,
@@ -146,14 +144,20 @@ def cmd_tables(args) -> int:
 
 def cmd_rx(args) -> int:
     target = args.target
+    # n in canonical decimal: int() would also take signs, spaces, leading
+    # zeros and underscores, and the payload echoes the target as typed
+    sln = re.fullmatch(r"SL:(0|[1-9][0-9]*)", target)
     try:
         if target == "H2O":
             rd = build_rank_one("H2O", 2)
             closed_form = 2
-        elif target.startswith("SL:"):
-            n = int(target.split(":", 1)[1])
+        elif sln:
+            n = int(sln[1])
             rd = build_sln(n, "TraceForm")
             closed_form = sln_closed_form_bound(n)
+        elif target.startswith("SL:"):
+            raise UsageError(f"malformed target {target!r}: write n in decimal, "
+                             "with no sign, spaces or leading zeros")
         else:
             raise UsageError(f"unsupported target {target!r} (use H2O or SL:<n>)")
         profile = r_profile(rd)
@@ -183,6 +187,8 @@ def cmd_rx(args) -> int:
 
 
 def _suite_hessian(args) -> list[dict]:
+    from . import modelcheck
+
     sizes = modelcheck.MODEL_SIZES
     _require(args.n in sizes, f"--n must lie in [{sizes[0]}, {sizes[-1]}], got {args.n}")
     lo, hi = modelcheck.STEP_RANGE
@@ -199,6 +205,10 @@ def _suite_hessian(args) -> list[dict]:
 
 
 def _suite_spherical(args) -> list[dict]:
+    import numpy as np
+
+    from . import spherical
+
     # a standard error needs two samples
     _require(args.samples >= 2, f"--samples must be at least 2, got {args.samples}")
     reports = []
@@ -224,6 +234,8 @@ def _suite_spherical(args) -> list[dict]:
 
 
 def _suite_monotonicity(args) -> list[dict]:
+    from . import modelcheck
+
     rd = build_rank_one("HnR", 4)
     reports = []
     for k in (2, 3):

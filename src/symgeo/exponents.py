@@ -22,6 +22,7 @@ from the published per-family case formulas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -116,11 +117,16 @@ def gap_covector(rd: RootDatum) -> Covector:
 def r_profile(rd: RootDatum) -> list[tuple[int, Fraction]]:
     """(d, tau_{dim-d}(xi_gap)) for every d, by exact enumeration."""
     xi = gap_covector(rd)
-    values = hesspec.iwasawa_exp_spectrum(rd, xi).values()
-    prefix = [Fraction(0)]
-    for v in values:
-        prefix.append(prefix[-1] + v)
-    return [(d, prefix[rd.dim_X - d]) for d in range(rd.dim_X)]
+    entries = hesspec.iwasawa_exp_spectrum(rd, xi).entries
+    # prefix sums of the descending eigenvalues, in integers over one
+    # common denominator
+    den = math.lcm(*(v.denominator for v, _ in entries))
+    prefix = [0]
+    for v, mult in entries:
+        step = v.numerator * (den // v.denominator)
+        for _ in range(mult):
+            prefix.append(prefix[-1] + step)
+    return [(d, Fraction(prefix[rd.dim_X - d], den)) for d in range(rd.dim_X)]
 
 
 def r_lower_bound(rd: RootDatum) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .rootdata import Covector, RootDatum, norm_sq, pair
+from .rootdata import Covector, RootDatum, norm_sq, root_pairings
 
 #: below this radius the polar formulas switch to their t -> 0 limit
 SINGULAR_RADIUS = 1e-8
@@ -77,8 +77,7 @@ class Spectrum:
 def iwasawa_linear_spectrum(rd: RootDatum, xi: Covector) -> Spectrum:
     """Eigenvalues of Hess(xi(H)): zeros on the flat, -<alpha,xi> per root."""
     pairs = [(Fraction(0), rd.rank)]
-    for root, mult in rd.positive_roots:
-        pairs.append((-pair(rd, root, xi), mult))
+    pairs += [(-value, mult) for value, mult in root_pairings(rd, xi).items()]
     return Spectrum.from_pairs(pairs)
 
 
@@ -87,8 +86,7 @@ def iwasawa_exp_spectrum(rd: RootDatum, xi: Covector) -> Spectrum:
     pairs = [(norm_sq(rd, xi), 1)]
     if rd.rank > 1:
         pairs.append((Fraction(0), rd.rank - 1))
-    for root, mult in rd.positive_roots:
-        pairs.append((-pair(rd, root, xi), mult))
+    pairs += [(-value, mult) for value, mult in root_pairings(rd, xi).items()]
     return Spectrum.from_pairs(pairs)
 
 

@@ -1,11 +1,18 @@
 """Restricted root data for the rank-one hyperbolic families and SL(n,R)/SO(n).
 
-A :class:`RootDatum` is plain data: the positive roots as integer
-coordinate tuples in the simple-root basis, with multiplicities, and the
-scale of the dual inner product.  Covector coordinates are kept in the
-simple-root basis with exact rational entries, so that integrality and
-Weyl-invariance checks are exact; floats appear only when a caller converts
-explicitly.
+A :class:`RootDatum` is plain data: each positive root stored once as its
+sparse integer support in e-coordinates, ``((index, coefficient), ...)``
+sorted by index, with its multiplicity, and the scale of the dual inner
+product.  The SLn root e_i - e_j is ``((i, 1), (j, -1))``; the rank-one
+roots alpha and 2 alpha are ``((0, 1),)`` and ``((0, 2),)``.  So SL(n) data
+take O(n^2) memory, and ``root_pairings``, ``rho``, ``theta_so`` and the
+strong-orthogonality check run on the supports in O(n^2) time.  The dense
+views ``root_coords`` (integer simple-root coordinates) and
+``positive_roots`` (covectors) are derived on demand and cached.
+
+Covector coordinates are kept in the simple-root basis with exact rational
+entries, so that integrality and Weyl-invariance checks are exact; floats
+appear only when a caller converts explicitly.
 
 Supported families::
 
@@ -31,10 +38,15 @@ form does not change sign-based predicates downstream.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
+
+#: a root's e-coordinates as sorted (index, nonzero coefficient) pairs
+Support = tuple[tuple[int, int], ...]
 
 RANK_ONE_MULTIPLICITIES = {
     "HnR": lambda n: (n - 1, 0),
@@ -111,11 +123,21 @@ class RootDatum:
     family: str
     n: int
     rank: int
-    #: positive roots as integer simple-root coordinates, with multiplicity
-    root_coords: tuple[tuple[tuple[int, ...], int], ...]
+    #: positive roots as sparse integer e-coordinate supports, with multiplicity
+    roots: tuple[tuple[Support, int], ...]
     dim_X: int
     normalization: str
     scale: Fraction
+
+    @property
+    def e_dim(self) -> int:
+        """Number of e-coordinates: n for SLn, one for the rank-one families."""
+        return self.n if self.family == "SLn" else 1
+
+    @cached_property
+    def root_coords(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The positive roots as integer simple-root coordinates, with multiplicity."""
+        return tuple((_root_coords(self, support), mult) for support, mult in self.roots)
 
     @cached_property
     def positive_roots(self) -> tuple[tuple[Covector, int], ...]:
@@ -139,12 +161,12 @@ class RootDatum:
     def m_alpha(self) -> int:
         """Multiplicity of the simple root (rank-one families only)."""
         self._require_rank_one()
-        return self.root_coords[0][1]
+        return self.roots[0][1]
 
     @property
     def m_2alpha(self) -> int:
         self._require_rank_one()
-        return self.root_coords[1][1] if len(self.root_coords) > 1 else 0
+        return self.roots[1][1] if len(self.roots) > 1 else 0
 
     @property
     def alpha(self) -> Covector:
@@ -185,13 +207,8 @@ def build_rank_one(family: str, n: int) -> RootDatum:
     if n < 2:
         raise ValueError(f"{family} requires n >= 2, got {n}")
     m_a, m_2a = RANK_ONE_MULTIPLICITIES[family](n)
-    roots = (((1,), m_a), ((2,), m_2a)) if m_2a else (((1,), m_a),)
+    roots = ((((0, 1),), m_a), (((0, 2),), m_2a)) if m_2a else ((((0, 1),), m_a),)
     return RootDatum(family, n, 1, roots, 1 + m_a + m_2a, "SimpleRootUnit", Fraction(1))
-
-
-def _sln_root(rank: int, i: int, j: int) -> tuple[int, ...]:
-    # alpha_{i,j} = e_i - e_j = alpha_i + ... + alpha_{j-1}
-    return tuple(int(i <= l + 1 < j) for l in range(rank))
 
 
 def build_sln(n: int, normalization: str = "Killing") -> RootDatum:
@@ -200,11 +217,11 @@ def build_sln(n: int, normalization: str = "Killing") -> RootDatum:
         raise ValueError(f"SLn requires n >= 2, got {n}")
     if normalization not in SLN_SCALES:
         raise ValueError(f"unknown normalization {normalization!r}")
-    rank = n - 1
-    roots = tuple(
-        (_sln_root(rank, i, j), 1) for i in range(1, n) for j in range(i + 1, n + 1)
-    )
-    return RootDatum("SLn", n, rank, roots, n * (n + 1) // 2 - 1, normalization,
+    # roots share the (index, +-1) pairs, so each holds only two small tuples
+    plus = [(i, 1) for i in range(n)]
+    minus = [(j, -1) for j in range(n)]
+    roots = tuple(((plus[i], minus[j]), 1) for i in range(n - 1) for j in range(i + 1, n))
+    return RootDatum("SLn", n, n - 1, roots, n * (n + 1) // 2 - 1, normalization,
                      SLN_SCALES[normalization](n))
 
 
@@ -222,45 +239,103 @@ def norm_sq(rd: RootDatum, xi: Covector) -> Fraction:
     return pair(rd, xi, xi)
 
 
-def _half_sum(rd: RootDatum, roots: Iterable[tuple[tuple[int, ...], int]]) -> Covector:
-    """Half of the sum of integer root coordinates counted with multiplicity."""
-    sums = [0] * rd.rank
-    for coords, mult in roots:
-        for i, c in enumerate(coords):
-            if c:
-                sums[i] += mult * c
-    return Covector(tuple(Fraction(s, 2) for s in sums), rd)
+def root_pairings(rd: RootDatum, xi: Covector) -> dict[Fraction, int]:
+    """The multiset of <alpha, xi> over the positive roots, counted with
+    multiplicity, as {value: count}.
+
+    xi's e-coordinates are scaled once to integers by their common
+    denominator and each root's support is summed in integers, so one
+    ``Fraction`` is made per distinct value.  Root by root this is ``pair``.
+    """
+    _check_owner(rd, xi)
+    e = xi.e_coords()
+    den = math.lcm(*(c.denominator for c in e))
+    x = [c.numerator * (den // c.denominator) for c in e]
+    counts: dict[int, int] = {}
+    for support, mult in rd.roots:
+        total = 0
+        for k, c in support:
+            total += c * x[k]
+        counts[total] = counts.get(total, 0) + mult
+    unit = rd.scale / den  # <alpha, xi> = unit * (the integer sum)
+    return {
+        Fraction(total * unit.numerator, unit.denominator): mult
+        for total, mult in counts.items()
+    }
+
+
+def _e_vector(rd: RootDatum, weighted: Iterable[tuple[Support, int]]) -> list[int]:
+    """Dense integer e-coordinates of sum(weight * support)."""
+    e = [0] * rd.e_dim
+    for support, weight in weighted:
+        for k, c in support:
+            e[k] += weight * c
+    return e
+
+
+def _simple_coords(rd: RootDatum, e: Sequence[int]) -> tuple[int, ...]:
+    """Simple-root coordinates of a traceless e-vector: for SLn the partial
+    sums c_l = e_0 + ... + e_l, inverting e_i = c_i - c_{i-1}."""
+    if rd.family == "SLn":
+        return tuple(itertools.accumulate(e[: rd.rank]))
+    return tuple(e)
+
+
+def _root_coords(rd: RootDatum, support: Support) -> tuple[int, ...]:
+    """Integer simple-root coordinates of one root support."""
+    return _simple_coords(rd, _e_vector(rd, [(support, 1)]))
+
+
+def _half_sum(rd: RootDatum, weighted: Iterable[tuple[Support, int]]) -> Covector:
+    """Half of the sum of root supports counted with multiplicity."""
+    return Covector(
+        tuple(Fraction(s, 2) for s in _simple_coords(rd, _e_vector(rd, weighted))), rd
+    )
 
 
 def rho(rd: RootDatum) -> Covector:
     """Half-sum of the positive roots counted with multiplicity."""
-    return _half_sum(rd, rd.root_coords)
+    return _half_sum(rd, rd.roots)
 
 
-def strongly_orthogonal_set(rd: RootDatum) -> list[Covector]:
-    """The maximal strongly orthogonal set {alpha_{1,n}, alpha_{2,n-1}, ...} for SLn."""
+def _strongly_orthogonal_supports(rd: RootDatum) -> list[Support]:
+    """Supports of {alpha_{1,n}, alpha_{2,n-1}, ...}: e_i - e_{n-1-i}, 0-based."""
     if rd.family != "SLn":
         raise ValueError("strongly orthogonal set is implemented for SLn only")
     if rd.n < 3:
         raise ValueError("SL2 has rank one; the growth-gap bound does not apply")
-    return [Covector(_sln_root(rd.rank, i, rd.n + 1 - i), rd) for i in range(1, rd.n // 2 + 1)]
+    return [((i, 1), (rd.n - 1 - i, -1)) for i in range(rd.n // 2)]
+
+
+def strongly_orthogonal_set(rd: RootDatum) -> list[Covector]:
+    """The maximal strongly orthogonal set {alpha_{1,n}, alpha_{2,n-1}, ...} for SLn."""
+    return [Covector(_root_coords(rd, s), rd) for s in _strongly_orthogonal_supports(rd)]
 
 
 def theta_so(rd: RootDatum) -> Covector:
     """Half-sum of the strongly orthogonal root set; rejects rank-one data."""
-    members = [root.coords for root in strongly_orthogonal_set(rd)]
+    members = _strongly_orthogonal_supports(rd)
     if not _is_strongly_orthogonal(rd, members):
         raise AssertionError("chosen set failed the strong-orthogonality check")
-    return _half_sum(rd, ((coords, 1) for coords in members))
+    return _half_sum(rd, ((support, 1) for support in members))
 
 
-def _is_strongly_orthogonal(rd: RootDatum, members: list[tuple[int, ...]]) -> bool:
-    root_set = {coords for coords, _ in rd.root_coords}
-    full = root_set | {tuple(-c for c in coords) for coords in root_set}
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            s = tuple(x + y for x, y in zip(members[a], members[b]))
-            d = tuple(x - y for x, y in zip(members[a], members[b]))
-            if s in full or d in full:
-                return False
-    return True
+def _combine(a: Support, b: Support, sign: int) -> Support:
+    """The support of a + sign * b, in canonical form."""
+    total = dict(a)
+    for k, c in b:
+        total[k] = total.get(k, 0) + sign * c
+    return tuple(sorted((k, c) for k, c in total.items() if c))
+
+
+def _is_strongly_orthogonal(rd: RootDatum, members: Sequence[Support]) -> bool:
+    """True iff no sum or difference of two members is a root."""
+    positive = {support for support, _ in rd.roots}
+
+    def is_root(support: Support) -> bool:
+        return support in positive or tuple((k, -c) for k, c in support) in positive
+
+    return not any(
+        is_root(_combine(a, b, 1)) or is_root(_combine(a, b, -1))
+        for a, b in itertools.combinations(members, 2)
+    )

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +143,9 @@ def test_help_exits_zero(capsys):
     ["tables", "--d", "99"],
     ["tables", "--out", "{tmp}/missing/tables.json"],
     ["rx", "H2O", "--out", "{tmp}/missing/rx.json"],
+    ["rx", "SL:+8"],
+    ["rx", "SL:08"],
+    ["rx", "SL:1_6"],
     ["verify", "hessian", "--n", "7"],
     ["verify", "hessian", "--h", "1"],
     ["verify", "ff", "--chains", "-3"],
@@ -177,3 +184,39 @@ def test_malformed_mesh_exits_two_with_one_line(capsys, tmp_path, mesh):
     assert code == 2
     assert out == ""
     assert err.startswith("error: malformed --mesh ") and err.count("\n") == 1
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports symgeo from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+def test_exact_commands_import_no_numeric_stack():
+    # rx and tables are exact integer work: importing numpy and scipy would
+    # cost most of their run time
+    proc = run_python(
+        "import contextlib, io, sys\n"
+        "from symgeo.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['rx', 'SL:8']), main(['tables'])]\n"
+        "print(codes, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0] []\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "hessian", "--n", "2"],
+    ["verify", "spherical", "--samples", "20000", "--seed", "5"],
+    ["verify", "monotonicity"],
+    ["verify", "ff", "--chains", "1"],
+], ids=lambda argv: argv[1])
+def test_verify_suites_run_after_bare_cli_import(argv):
+    proc = run_python(f"import sys, symgeo.cli\nsys.exit(symgeo.cli.main({argv!r}))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pass"] is True

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,28 @@ from symgeo.exponents import (
     stationary_codims,
 )
 from symgeo.rootdata import build_rank_one, build_sln, norm_sq, pair
+
+
+def sln_rx_oracle(n):
+    """r(SL_n) and the tau rows ``rx SL:n`` prints, in integers.
+
+    The gap covector 2 rho - theta_so has e-coordinates x / 2 with
+    x_i = 2 (n - 1 - 2i) - t_i, where t = (1 x floor(n/2), 0 x (n mod 2),
+    -1 x floor(n/2)) are the e-coordinates of 2 theta_so.  In the trace form
+    the Hessian eigenvalues of exp(xi H), times 4, are |x|^2, n - 2 zeros and
+    -2 (x_i - x_j) for i < j.
+    """
+    m = n // 2
+    t = [1] * m + [0] * (n % 2) + [-1] * m
+    x = [2 * (n - 1 - 2 * i) - t[i] for i in range(n)]
+    eig = [sum(v * v for v in x)] + [0] * (n - 2)
+    eig += [-2 * (x[i] - x[j]) for i in range(n) for j in range(i + 1, n)]
+    eig.sort(reverse=True)
+    dim = len(eig)
+    prefix = list(itertools.accumulate(eig, initial=0))
+    taus = [Fraction(prefix[dim - d], 4) for d in range(dim)]
+    r = next(d for d in range(dim) if taus[d] >= 0) - 1
+    return r, [(d, str(taus[d]), taus[d] < 0) for d in range(min(r + 3, dim))]
 
 
 def brute_kappa(rd, k):
@@ -146,6 +169,24 @@ class TestRLowerBound:
             m = Fraction(n, 2)
             collected_form = -(m * m) + Fraction(11, 6) * m
             assert trace != collected_form
+
+    @pytest.mark.parametrize("n", [*range(3, 49), 64, 128, 256])
+    def test_sln_table_matches_integer_oracle(self, n):
+        rd = build_sln(n, "TraceForm")
+        r, rows = sln_rx_oracle(n)
+        assert r_lower_bound(rd) == r >= sln_closed_form_bound(n)
+        # the rows `rx SL:n` prints
+        printed = [(d, str(t), t < 0) for d, t in r_profile(rd)[: r + 3]]
+        assert printed == rows
+
+    def test_sl256_memory(self):
+        tracemalloc.start()
+        try:
+            r_lower_bound(build_sln(256, "TraceForm"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
     def test_trace_at_n4_is_minus_three(self):
         assert sln_intermediate_trace(4) == -3

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from symgeo.rootdata import (
     norm_sq,
     pair,
     rho,
+    root_pairings,
     strongly_orthogonal_set,
     theta_so,
 )
@@ -25,6 +27,25 @@ def killing_pair_oracle(n, xi, eta):
     d = np.array([float(x) for x in eta.e_coords()])
     h = (c - c.mean()) / (2 * n)
     return float(d @ h)
+
+
+def dense_sln_root(n, i, j):
+    """e_i - e_j (1-based, i < j) as the dense simple-root tuple
+    alpha_i + ... + alpha_{j-1}."""
+    return tuple(int(i <= l + 1 < j) for l in range(n - 1))
+
+
+def dense_strongly_orthogonal(rd, members):
+    """Strong orthogonality on dense simple-root tuples: no sum or difference
+    of two members is a root or the negative of one."""
+    roots = {coords for coords, _ in rd.root_coords}
+    roots |= {tuple(-c for c in coords) for coords in roots}
+    for a, b in itertools.combinations(members, 2):
+        if tuple(x + y for x, y in zip(a, b)) in roots:
+            return False
+        if tuple(x - y for x, y in zip(a, b)) in roots:
+            return False
+    return True
 
 
 class TestBuildRankOne:
@@ -218,6 +239,56 @@ class TestPairProperties:
         two_theta = 2 * theta_so(build_sln(n))
         m = n // 2
         assert two_theta.e_coords() == (1,) * m + (0,) * (n % 2) + (-1,) * m
+
+
+@st.composite
+def any_datum(draw, max_n=10):
+    """An SL(n) datum (2 <= n <= max_n, any normalization) or a rank-one one."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=2, max_value=max_n))
+        return build_sln(n, draw(st.sampled_from(tuple(rootdata.SLN_SCALES))))
+    family = draw(st.sampled_from(rootdata.RANK_ONE_FAMILIES))
+    n = 2 if family == "H2O" else draw(st.integers(min_value=2, max_value=6))
+    return build_rank_one(family, n)
+
+
+@st.composite
+def datum_and_covector(draw):
+    rd = draw(any_datum())
+    coords = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+    return rd, rd.covector(draw(st.lists(coords, min_size=rd.rank, max_size=rd.rank)))
+
+
+class TestSparseRoots:
+    @given(datum_and_covector())
+    def test_root_pairings_is_the_multiset_of_pair(self, case):
+        rd, xi = case
+        expected = Counter()
+        for root, mult in rd.positive_roots:
+            expected[pair(rd, root, xi)] += mult
+        got = root_pairings(rd, xi)
+        assert got == dict(expected)
+        assert all(type(value) is Fraction for value in got)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_sln_root_coords_are_the_dense_tuples(self, n):
+        rd = build_sln(n)
+        dense = [dense_sln_root(n, i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+        assert rd.root_coords == tuple((coords, 1) for coords in dense)
+
+    def test_rank_one_root_coords(self):
+        for family in rootdata.RANK_ONE_FAMILIES:
+            rd = build_rank_one(family, 2)
+            expected = (((1,), rd.m_alpha), ((2,), rd.m_2alpha))
+            assert rd.root_coords == expected[: 1 + bool(rd.m_2alpha)]
+
+    @given(any_datum(), st.data())
+    def test_strong_orthogonality_matches_dense_check(self, rd, data):
+        picks = data.draw(st.lists(st.integers(0, len(rd.roots) - 1), unique=True, max_size=5))
+        supports = [rd.roots[i][0] for i in picks]
+        dense = [rd.root_coords[i][0] for i in picks]
+        assert rootdata._is_strongly_orthogonal(rd, supports) == dense_strongly_orthogonal(
+            rd, dense)
 
 
 class TestPlainData:
