@@ -2,11 +2,15 @@
 
 The SL(n,R) model realizes the horospherical coordinate H(g) through the
 factorization g = n e^H k (n unit upper triangular, e^H positive diagonal,
-k orthogonal), computed from an orthogonal-triangular decomposition of the
-transpose with row/column reversal.  The polar coordinate a(g) is the vector
-of singular value logarithms.  Hessians are differenced along the geodesics
-t -> exp(tY) K, which are exact in the model, against an orthonormal frame of
-symmetric traceless matrices for the form <X, Y> = 2n tr(XY).
+k orthogonal).  Since g g^T = n e^{2H} n^T, e^{2 H_i} is the ratio of the
+trailing principal minors of g g^T of orders n - i and n - i - 1; a batched
+kernel takes those Schur-complement steps on the rows of g, vectorised over
+a stack of matrices.  The full factorization (n and k as well) comes from an
+orthogonal-triangular decomposition of the transpose with row/column
+reversal.  The polar coordinate a(g) is the vector of singular value
+logarithms.  Hessians are differenced along the geodesics t -> exp(tY) K,
+which are exact in the model, against an orthonormal frame of symmetric
+traceless matrices for the form <X, Y> = 2n tr(XY).
 
 The hyperboloid model supplies horofunction values for the real hyperbolic
 family, and a one-dimensional quadrature reproduces the mass growth profile
@@ -20,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .hesspec import iwasawa_exp_spectrum, iwasawa_linear_spectrum
 from .rootdata import Covector, RootDatum, build_sln
@@ -117,8 +120,13 @@ def sl_frame(n: int) -> TangentFrame:
 def iwasawa_nak(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factor g = n e^H k; returns (n, H, k) with H the diagonal log vector."""
     g = np.asarray(g, dtype=float)
-    n_mat, H, k = _nak_batch(g[None, :, :])
-    return n_mat[0], H[0], k[0]
+    # g^T = Q L (L lower triangular, positive diagonal); reversal turns the
+    # QL problem into a QR problem.
+    q, r = np.linalg.qr(g.T[:, ::-1])
+    sign = np.where(np.diag(r) < 0, -1.0, 1.0)
+    L = (r * sign[:, None])[::-1, ::-1]
+    a = np.diag(L)
+    return L.T / a, np.log(a), (q * sign).T[::-1]
 
 
 def iwasawa_H(g) -> np.ndarray:
@@ -128,30 +136,31 @@ def iwasawa_H(g) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if abs(np.linalg.det(g)) < 1e-300:
         raise ValueError("input matrix is singular")
-    return _nak_batch(g[None, :, :])[1][0]
+    return iwasawa_H_batch(g)
 
 
 def iwasawa_H_batch(gs: np.ndarray) -> np.ndarray:
-    """H(g) for a stack of matrices (..., n, n) -> (..., n)."""
-    return _nak_batch(np.asarray(gs, dtype=float))[1]
+    """H(g) for a stack of matrices (..., n, n) -> (..., n).
 
-
-def _nak_batch(gs: np.ndarray):
-    n = gs.shape[-1]
-    rev = np.arange(n)[::-1]
-    # g^T = Q L (L lower triangular, positive diagonal); reversal turns the
-    # QL problem into a QR problem.
-    m = np.swapaxes(gs, -1, -2)[..., :, rev]
-    q, r = np.linalg.qr(m)
-    sign = np.sign(np.einsum("...ii->...i", r))
-    sign[sign == 0] = 1.0
-    q = q * sign[..., None, :]
-    r = r * sign[..., :, None]
-    L = r[..., rev, :][..., :, rev]
-    a = np.einsum("...ii->...i", L)
-    n_mat = np.swapaxes(L, -1, -2) / a[..., None, :]
-    k = np.swapaxes(q, -1, -2)[..., rev, :]
-    return n_mat, np.log(a), k
+    e^{H_i} is the distance from row i of g to the span of the rows below
+    it.  Step i takes the norm of row i, then removes its direction from the
+    rows above, which takes the Schur complement of g g^T on g itself: the
+    Gram matrix of the rows left is that complement.  Forming g g^T would
+    square the condition number of g.
+    """
+    # rows[i, k]: entry (i, k) of every matrix, so each step is a vector op
+    # over the stack
+    rows = np.moveaxis(np.asarray(gs, dtype=float), (-2, -1), (0, 1)).copy(order="C")
+    n = rows.shape[0]
+    H = np.empty(rows.shape[:1] + rows.shape[2:])
+    for i in range(n - 1, -1, -1):
+        u = rows[i]
+        norm = np.sqrt(np.einsum("k...,k...->...", u, u))
+        H[i] = np.log(norm)
+        if i:
+            u /= norm
+            rows[:i] -= np.einsum("jk...,k...->j...", rows[:i], u)[:, None] * u
+    return np.moveaxis(H, 0, -1)
 
 
 def cartan_a(g) -> np.ndarray:
@@ -359,6 +368,8 @@ def monotonicity_profile(rd: RootDatum, k: int, r_grid: Sequence[float]) -> list
         raise ValueError("the quadrature profile is implemented for HnR only")
     if not 2 <= k < rd.n:
         raise ValueError(f"need 2 <= k < n, got k = {k}, n = {rd.n}")
+    from scipy.integrate import quad
+
     area = sphere_area(k)
     out = []
     for r in r_grid:

@@ -8,7 +8,8 @@ roots alpha and 2 alpha are ``((0, 1),)`` and ``((0, 2),)``.  So SL(n) data
 take O(n^2) memory, and ``root_pairings``, ``rho``, ``theta_so`` and the
 strong-orthogonality check run on the supports in O(n^2) time.  The dense
 views ``root_coords`` (integer simple-root coordinates) and
-``positive_roots`` (covectors) are derived on demand and cached.
+``positive_roots`` (covectors) are derived on demand and cached, as is
+``theta_so``.
 
 Covector coordinates are kept in the simple-root basis with exact rational
 entries, so that integrality and Weyl-invariance checks are exact; floats
@@ -142,6 +143,16 @@ class RootDatum:
     @cached_property
     def positive_roots(self) -> tuple[tuple[Covector, int], ...]:
         return tuple((Covector(coords, self), mult) for coords, mult in self.root_coords)
+
+    @cached_property
+    def _theta_so_coords(self) -> tuple[Fraction, ...]:
+        """Coordinates of ``theta_so``, so its set is checked for strong
+        orthogonality once.  A cached Covector would point back at the datum,
+        a reference cycle that outlives the datum's last user."""
+        members = _strongly_orthogonal_supports(self)
+        if not _is_strongly_orthogonal(self, members):
+            raise AssertionError("chosen set failed the strong-orthogonality check")
+        return _half_sum(self, ((support, 1) for support in members)).coords
 
     @cached_property
     def simple_roots(self) -> tuple[Covector, ...]:
@@ -314,10 +325,7 @@ def strongly_orthogonal_set(rd: RootDatum) -> list[Covector]:
 
 def theta_so(rd: RootDatum) -> Covector:
     """Half-sum of the strongly orthogonal root set; rejects rank-one data."""
-    members = _strongly_orthogonal_supports(rd)
-    if not _is_strongly_orthogonal(rd, members):
-        raise AssertionError("chosen set failed the strong-orthogonality check")
-    return _half_sum(rd, ((support, 1) for support in members))
+    return Covector(rd._theta_so_coords, rd)
 
 
 def _combine(a: Support, b: Support, sign: int) -> Support:

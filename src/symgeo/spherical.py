@@ -12,7 +12,12 @@ averaging identity, which pins down the sign of the exponent; the identity is
 exercised by the test suite.
 
 Estimators are deterministic functions of (seed, N): samples are drawn in
-fixed-size chunks from a PCG64 stream and reduced in order.
+fixed-size chunks from a PCG64 stream and reduced in order.  A chunk's Haar
+sample is the Q factor, with positive R diagonal, of a stack of Gaussian
+matrices (Mezzadri 2007), orthonormalised by classical Gram-Schmidt applied
+twice and vectorised over the stack.  It is Haar on O(n), not SO(n), with
+the same average: reflecting the last column of k multiplies k e^H on the
+right by an orthogonal diagonal matrix, which leaves H(k e^H) unchanged.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import loggamma
 
 from .modelcheck import VerifyReport, iwasawa_H_batch
 from .rootdata import Covector, RootDatum, rho
@@ -50,7 +54,7 @@ class MCEstimate:
 
     def to_json_dict(self) -> dict:
         out = {"value": self.value, "stderr": self.stderr,
-               "N": self.samples, "seed": self.seed}
+               "N": self.samples, "seed": self.seed, "noisy": self.variance_flag}
         if self.imag_value is not None:
             out["imag_value"] = self.imag_value
             out["imag_stderr"] = self.imag_stderr
@@ -60,19 +64,28 @@ class MCEstimate:
 def haar_orthogonal(n: int, seed) -> np.ndarray:
     """One Haar-distributed element of SO(n)."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _haar_batch(n, 1, rng)[0]
+    q = np.ascontiguousarray(_haar_batch(n, 1, rng)[0])
+    # flipping the last column maps a sample with det -1 into SO(n)
+    if np.linalg.det(q) < 0:
+        q[:, -1] *= -1.0
+    return q
 
 
 def _haar_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count Haar-distributed elements of O(n), shape (count, n, n)."""
     z = rng.standard_normal((count, n, n))
-    q, r = np.linalg.qr(z)
-    sign = np.sign(np.einsum("...ii->...i", r))
-    sign[sign == 0] = 1.0
-    q = q * sign[..., None, :]
-    # force determinant +1 by flipping the last column of reflections
-    dets = np.linalg.det(q)
-    q[dets < 0, :, -1] *= -1.0
-    return q
+    # cols[j, i]: entry (i, j) of every sample, so each step is a vector op
+    # over the samples
+    cols = np.ascontiguousarray(z.transpose(2, 1, 0))
+    for j in range(n):
+        v = cols[j]
+        if j:
+            prev = cols[:j]
+            # one pass loses orthogonality on nearly dependent columns
+            for _ in range(2):
+                v -= np.einsum("jib,jb->ib", prev, np.einsum("jib,ib->jb", prev, v))
+        v /= np.sqrt(np.einsum("ib,ib->b", v, v))
+    return cols.transpose(2, 1, 0)
 
 
 def _e_coords(lam, n: int) -> np.ndarray:
@@ -185,6 +198,8 @@ def logconvexity_check(n: int, H: Sequence[float], lam1, lam2,
 
 
 def _beta(z1: complex, z2: complex) -> complex:
+    from scipy.special import loggamma
+
     return np.exp(loggamma(z1) + loggamma(z2) - loggamma(z1 + z2))
 
 

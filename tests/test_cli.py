@@ -210,6 +210,23 @@ def test_exact_commands_import_no_numeric_stack():
     assert proc.stdout == "[0, 0] []\n"
 
 
+def test_spherical_and_hessian_import_no_scipy():
+    # phi_lambda and the Hessian model are numpy only; scipy costs most of
+    # their start-up time
+    proc = run_python(
+        "import contextlib, io, sys\n"
+        "from symgeo.cli import main\n"
+        "from symgeo.spherical import phi_lambda\n"
+        "phi_lambda(3, [0.0, 0.0, 0.0], [1.0, 0.0, -1.0], 1000, 0)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['verify', 'spherical', '--samples', '20000']),\n"
+        "             main(['verify', 'hessian', '--n', '3'])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0] []\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "hessian", "--n", "2"],
     ["verify", "spherical", "--samples", "20000", "--seed", "5"],

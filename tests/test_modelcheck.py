@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symgeo import modelcheck as mc
 from symgeo.hesspec import iwasawa_exp_spectrum, iwasawa_linear_spectrum
@@ -100,6 +102,27 @@ class TestIwasawa:
         hs = mc.iwasawa_H_batch(gs)
         for g, h in zip(gs, hs):
             assert np.allclose(h, mc.iwasawa_H(g))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.data())
+    def test_batch_matches_factorization(self, seed, n, data):
+        # SL(n) elements u e^s v with log singular values s in [-3, 3]
+        rng = np.random.default_rng(seed)
+        s = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+        s -= s.mean()
+        s *= min(1.0, 3.0 / max(np.abs(s).max(), 1e-300))
+        gs = []
+        for _ in range(8):
+            u = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            v = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            g = (u * np.exp(s)) @ v
+            if np.linalg.det(g) < 0:
+                g[0] *= -1.0
+            gs.append(g)
+        hs = mc.iwasawa_H_batch(np.stack(gs))
+        for g, h in zip(gs, hs):
+            assert np.linalg.det(g) == pytest.approx(1.0, rel=1e-9)
+            assert np.abs(h - mc.iwasawa_nak(g)[1]).max() <= 1e-12
 
     def test_left_unipotent_invariance(self):
         rng = np.random.default_rng(11)

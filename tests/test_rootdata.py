@@ -1,3 +1,4 @@
+import gc
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from symgeo import rootdata
+from symgeo.exponents import r_lower_bound
 from symgeo.rootdata import (
     build_rank_one,
     build_sln,
@@ -182,6 +184,32 @@ class TestTheta:
         for a, b in itertools.combinations(members, 2):
             assert tuple(x + y for x, y in zip(a.coords, b.coords)) not in roots
             assert tuple(x - y for x, y in zip(a.coords, b.coords)) not in roots
+
+    def test_check_runs_once_per_datum(self, monkeypatch):
+        calls = []
+        check = rootdata._is_strongly_orthogonal
+
+        def counting(rd, members):
+            calls.append(rd)
+            return check(rd, members)
+
+        monkeypatch.setattr(rootdata, "_is_strongly_orthogonal", counting)
+        rd = build_sln(16)
+        assert r_lower_bound(rd) == r_lower_bound(rd)
+        assert theta_so(rd) == theta_so(rd)
+        assert calls == [rd]
+        theta_so(build_sln(16))
+        assert len(calls) == 2
+
+    def test_cache_makes_no_reference_cycle(self):
+        # data freed by reference counting keep the memory of repeated rx flat
+        gc.collect()
+        gc.disable()
+        try:
+            r_lower_bound(build_sln(16))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_gap_pairing_example(self):
         # <alpha_{1,4}, 2 rho - theta> = 2*3 - 1 = 5 in the trace form

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstest
 
@@ -24,6 +26,30 @@ def sl2_phi_oracle(s: float, t: float) -> float:
         limit=200,
     )
     return val / (2 * math.pi)
+
+
+def qr_haar_oracle(n: int, count: int, rng) -> np.ndarray:
+    """Haar samples by LAPACK QR of the same Gaussian draws, R diagonal made positive."""
+    q, r = np.linalg.qr(rng.standard_normal((count, n, n)))
+    return q * np.sign(np.einsum("...ii->...i", r))[..., None, :]
+
+
+def qr_H_oracle(gs: np.ndarray) -> np.ndarray:
+    """H(g) from the QR factorization of the row/column-reversed transpose."""
+    m = np.swapaxes(gs, -1, -2)[..., :, ::-1]
+    r = np.linalg.qr(m, mode="r")
+    return np.log(np.abs(np.einsum("...ii->...i", r)))[..., ::-1]
+
+
+class FixedNormals:
+    """Stands in for a Generator whose next normal draw is a given array."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def standard_normal(self, shape):
+        assert shape == self.z.shape
+        return self.z.copy()
 
 
 class TestHaar:
@@ -52,6 +78,33 @@ class TestHaar:
         a = sph.haar_orthogonal(4, seed=123)
         b = sph.haar_orthogonal(4, seed=123)
         assert np.array_equal(a, b)
+
+    def test_haar_orthogonal_is_special(self):
+        # the batch is Haar on O(n); haar_orthogonal reflects into SO(n)
+        dets = np.linalg.det(sph._haar_batch(3, 64, np.random.default_rng(0)))
+        assert (dets < 0).any()
+        for seed in range(32):
+            assert np.linalg.det(sph.haar_orthogonal(3, seed)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_qr_oracle(self, n):
+        got = sph._haar_batch(n, 4096, np.random.default_rng(n))
+        want = qr_haar_oracle(n, 4096, np.random.default_rng(n))
+        assert np.abs(got - want).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.data())
+    def test_nearly_dependent_columns(self, seed, n, data):
+        i, j = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                         unique=True)))
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((16, n, n))
+        z[:, :, j] = z[:, :, i] + 1e-8 * rng.standard_normal((16, n))
+        q = sph._haar_batch(n, 16, FixedNormals(z))
+        assert np.abs(np.swapaxes(q, -1, -2) @ q - np.eye(n)).max() <= 1e-13
+        r = np.swapaxes(q, -1, -2) @ z
+        assert (np.einsum("...ii->...i", r) > 0).all()
+        assert np.abs(q @ np.triu(r) - z).max() <= 1e-12
 
 
 class TestPhiLambda:
@@ -111,9 +164,40 @@ class TestPhiLambda:
         ratio = small.stderr / large.stderr
         assert ratio == pytest.approx(math.sqrt(10.0), rel=0.2)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_per_sample_H_matches_qr_pipeline(self, n, monkeypatch):
+        # the QR pipeline on the same PCG64 stream, chunk by chunk
+        seen = []
+        kernel = sph.iwasawa_H_batch
+
+        def recording(gs):
+            seen.append(kernel(gs))
+            return seen[-1]
+
+        monkeypatch.setattr(sph, "iwasawa_H_batch", recording)
+        H = np.linspace(0.9, -0.9, n)
+        N = sph._CHUNK + 1000
+        est = sph.phi_lambda(n, np.zeros(n), H, N, seed=100 + n)
+        rng = np.random.default_rng(100 + n)
+        want = [qr_H_oracle(qr_haar_oracle(n, count, rng) * np.exp(H))
+                for count in (sph._CHUNK, 1000)]
+        assert [h.shape for h in seen] == [w.shape for w in want]
+        for got, expected in zip(seen, want):
+            assert np.abs(got - expected).max() <= 1e-12
+        oracle = np.exp(np.concatenate(want) @ sph._rho_e(n)).mean()
+        assert est.value == pytest.approx(oracle, rel=1e-12)
+
     def test_rejects_bad_H(self):
         with pytest.raises(ValueError):
             sph.phi_lambda(2, np.zeros(2), [1.0, 1.0], N=10, seed=0)
+
+
+class TestEstimateJson:
+    def test_noise_flag_is_reported(self):
+        noisy = sph.MCEstimate(value=0.1, stderr=0.2, samples=100, seed=1)
+        clean = sph.MCEstimate(value=1.0, stderr=0.01, samples=100, seed=1)
+        assert noisy.to_json_dict()["noisy"] is True
+        assert clean.to_json_dict()["noisy"] is False
 
 
 class TestPhiZeroBound:
