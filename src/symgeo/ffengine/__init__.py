@@ -4,13 +4,11 @@ from .chains import (
     Piece,
     PolyChain,
     boundary_keys,
-    chain_from_json,
     chain_from_json_dict,
     chain_to_json_dict,
     is_closed,
     normalize_chain,
     validate_chain,
-    volume,
 )
 from .complexes import Chart, GeoComplex, UniformityReport, check_uniform
 from .deform import (
@@ -41,7 +39,6 @@ __all__ = [
     "PolyChain",
     "UniformityReport",
     "boundary_keys",
-    "chain_from_json",
     "chain_from_json_dict",
     "chain_to_json_dict",
     "check_uniform",
@@ -59,6 +56,5 @@ __all__ = [
     "select_center",
     "validate_chain",
     "vanishing_threshold",
-    "volume",
     "whole_edges_of",
 ]

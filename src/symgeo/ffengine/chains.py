@@ -4,17 +4,23 @@ A chain of dimension k is a list of pieces; each piece is an affine
 k-simplex given by k+1 points in the chart of its host cell.  Identical
 pieces cancel in pairs (Z/2 coefficients) and pieces below the degeneracy
 threshold are pruned at construction.
+
+Pieces whose points have one shape (one host dimension) are handled as one
+stacked array: construction prunes with one stacked Gram determinant and
+rounds the cancellation keys in one call per shape, the volumes come from
+the same determinants, and normalize_chain tests every piece for a dead
+barycentric coordinate with one stacked product per host dimension.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .complexes import Cell, GeoComplex, simplex_gram_det, simplex_volume
+from .complexes import Cell, GeoComplex, barycentric, simplex_gram_det, simplex_volume
 
 #: pieces with squared-volume Gram determinant below this are dropped
 DEGENERATE_GRAM = 1e-18
@@ -28,14 +34,36 @@ class Piece:
     host: Cell
     points: np.ndarray  # (k+1, dim host) chart coordinates
 
-    def key(self):
-        rounded = np.round(self.points, _KEY_DECIMALS) + 0.0
-        rows = sorted(tuple(row) for row in rounded)
-        return (self.host, tuple(rows))
-
 
 def piece_volume(piece: Piece) -> float:
     return simplex_volume(piece.points)
+
+
+def _per_shape(fn: Callable, pieces: Sequence[Piece]) -> list:
+    """fn(points, group) on each group of pieces of one point shape, with
+    their points stacked; returns fn's values per piece, in piece order."""
+    groups: dict = {}
+    for i, piece in enumerate(pieces):
+        groups.setdefault(piece.points.shape, []).append(i)
+    out: list = [None] * len(pieces)
+    for idx in groups.values():
+        group = [pieces[i] for i in idx]
+        for i, value in zip(idx, fn(np.stack([p.points for p in group]), group)):
+            out[i] = value
+    return out
+
+
+def piece_volumes(pieces: Sequence[Piece]) -> np.ndarray:
+    """k-volume of each piece, one stacked simplex_volume call per shape."""
+    return np.array(_per_shape(lambda pts, _: simplex_volume(pts).tolist(), pieces))
+
+
+def _keys_and_dets(pts: np.ndarray, _) -> list:
+    # the sorted rounded points, a piece's Z/2 key with its host, and the
+    # Gram determinant of each piece
+    rows = (np.round(pts, _KEY_DECIMALS) + 0.0).tolist()
+    return list(zip((tuple(sorted(map(tuple, r))) for r in rows),
+                    simplex_gram_det(pts).tolist()))
 
 
 class PolyChain:
@@ -43,41 +71,36 @@ class PolyChain:
 
     def __init__(self, k: int, pieces: Iterable[Piece], reduce: bool = True):
         self.k = int(k)
-        kept: dict = {}
+        given = []
         for piece in pieces:
             pts = np.asarray(piece.points, dtype=float)
             if pts.shape[0] != self.k + 1:
                 raise ValueError(
                     f"piece has {pts.shape[0]} points, expected {self.k + 1}"
                 )
-            if simplex_gram_det(pts) < DEGENERATE_GRAM:
+            given.append(piece if pts is piece.points else Piece(piece.host, pts))
+        kept: dict = {}
+        for i, (piece, (rows, det)) in enumerate(zip(given, _per_shape(_keys_and_dets, given))):
+            if det < DEGENERATE_GRAM:
                 continue
-            piece = Piece(piece.host, pts)
-            if reduce:
-                key = piece.key()
-                if key in kept:
-                    del kept[key]  # Z/2: second copy cancels the first
-                else:
-                    kept[key] = piece
+            key = (piece.host, rows) if reduce else i
+            if key in kept:
+                del kept[key]  # Z/2: second copy cancels the first
             else:
-                kept[id(piece)] = piece
-        self.pieces: tuple[Piece, ...] = tuple(kept.values())
+                kept[key] = (piece, det)
+        self.pieces: tuple[Piece, ...] = tuple(piece for piece, _ in kept.values())
+        # simplex_volume of each piece, from the determinant already taken
+        scale = math.factorial(self.k)
+        self._volumes = [math.sqrt(max(det, 0.0)) / scale for _, det in kept.values()]
 
     def __len__(self):
         return len(self.pieces)
 
     def volume(self) -> float:
-        return float(sum(piece_volume(p) for p in self.pieces))
-
-    def hosts(self) -> set[Cell]:
-        return {p.host for p in self.pieces}
+        return float(sum(self._volumes))
 
     def max_host_dim(self) -> int:
         return max((len(p.host) - 1 for p in self.pieces), default=-1)
-
-
-def volume(chain: PolyChain) -> float:
-    return chain.volume()
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +127,24 @@ def normalize_host(cx: GeoComplex, piece: Piece) -> Piece:
 
 
 def normalize_chain(cx: GeoComplex, chain: PolyChain) -> PolyChain:
-    return PolyChain(chain.k, (normalize_host(cx, p) for p in chain.pieces))
+    """Re-host every piece to the lowest face containing it.
+
+    The chain itself is returned when no piece has a dead barycentric
+    coordinate; otherwise only the flagged pieces are re-hosted and the
+    chain is rebuilt, so pieces that now share a face cancel mod 2.
+    """
+
+    def dead(pts, group):
+        bary = barycentric(np.stack([cx.chart(p.host).bary_solver for p in group]), pts)
+        return (np.abs(bary) <= _CONTAIN_TOL).all(axis=1).any(axis=1).tolist()
+
+    flagged = [i for i, f in enumerate(_per_shape(dead, chain.pieces)) if f]
+    if not flagged:
+        return chain
+    pieces = list(chain.pieces)
+    for i in flagged:
+        pieces[i] = normalize_host(cx, pieces[i])
+    return PolyChain(chain.k, pieces)
 
 
 def validate_chain(cx: GeoComplex, chain: PolyChain, tol: float = _CONTAIN_TOL):
@@ -171,7 +211,3 @@ def chain_from_json_dict(cx: GeoComplex, doc: dict) -> PolyChain:
     chain = PolyChain(k, pieces)
     validate_chain(cx, chain, tol=1e-6)
     return normalize_chain(cx, chain)
-
-
-def chain_from_json(cx: GeoComplex, text: str) -> PolyChain:
-    return chain_from_json_dict(cx, json.loads(text))

@@ -45,6 +45,14 @@ def simplex_volume(points: np.ndarray):
     return np.sqrt(np.maximum(det, 0.0)) / scale
 
 
+def barycentric(solver: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates of chart points (..., n, d) from a chart's
+    bary_solver (d+1, d+1), or from a stack of solvers (..., d+1, d+1)."""
+    lifted = np.concatenate([np.ones(coords.shape[:-1] + (1,)), coords], axis=-1)
+    # b solves b @ [[1, model_i]] = [1, x]
+    return lifted @ solver
+
+
 @dataclass(frozen=True)
 class Chart:
     origin: np.ndarray          # (N,)
@@ -59,10 +67,7 @@ class Chart:
         return self.origin + np.atleast_2d(coords) @ self.basis.T
 
     def barycentric(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.atleast_2d(coords)
-        stacked = np.hstack([np.ones((coords.shape[0], 1)), coords])
-        # b solves b @ [[1, model_i]] = [1, x]
-        return stacked @ self.bary_solver
+        return barycentric(self.bary_solver, np.atleast_2d(coords))
 
 
 class GeoComplex:
@@ -94,6 +99,7 @@ class GeoComplex:
             d: {c: i for i, c in enumerate(cs)} for d, cs in self.cells.items()
         }
         self._charts: dict[Cell, Chart] = {}
+        self._min_volume: dict[int, float] = {}
         self._cofacets: dict[Cell, list[Cell]] = {}
         for d in range(self.dim, 0, -1):
             for cell in self.cells[d]:
@@ -111,12 +117,6 @@ class GeoComplex:
 
     def has_cell(self, cell: Cell) -> bool:
         return cell in self._cell_index.get(len(cell) - 1, {})
-
-    def cell_id(self, cell: Cell) -> int:
-        return self._cell_index[len(cell) - 1][cell]
-
-    def facets(self, cell: Cell) -> list[Cell]:
-        return [cell[:i] + cell[i + 1:] for i in range(len(cell))]
 
     def cofacets(self, cell: Cell) -> list[Cell]:
         return self._cofacets.get(cell, [])
@@ -187,6 +187,14 @@ class GeoComplex:
 
     def cell_volume(self, cell: Cell) -> float:
         return simplex_volume(self.chart(cell).model)
+
+    def min_cell_volume(self, d: int) -> float:
+        """Smallest volume of a d-cell, computed once per complex."""
+        if d not in self._min_volume:
+            if not self.cells_of_dim(d):
+                raise ValueError(f"complex has no {d}-cells")
+            self._min_volume[d] = min(self.cell_volume(cell) for cell in self.cells_of_dim(d))
+        return self._min_volume[d]
 
     def chart_distortion(self, cell: Cell) -> float:
         """max(s_max, 1/s_min) of the ambient-to-chart map on the cell's hull."""

@@ -6,16 +6,23 @@ boundary.  The piece is first split by exit facet: the ray from the center x
 through y leaves the cell through facet j iff c_i b_j(y) - c_j b_i(y) <= 0
 for all i (b barycentric, c = b(x)), a linear condition, so the split is a
 convex clipping in the piece's own parameter simplex.  On each part the
-projection is projective, so images of vertices span the image piece.
+projection is projective, so images of vertices span the image piece.  Where
+a piece lies on a tie c_i b_j = c_j b_i between two facets, the tied stretch
+exits through the lower facet index only.
 
-One batched kernel, project_pieces, does this for a block of C candidate
-centers against all P pieces of a cell at once: barycentrics are a (C, m+1)
-array, the exit-facet constraints a (C, P, m+1, m+1) tensor, interval
-clipping for curves and the clearance test are array expressions, and the
-volumes come from one stacked simplex-volume call (only the clipping of
-triangles loops).  select_center scores its candidates with it block by
-block, project_piece is its one-candidate call, and ff_step keeps the image
-pieces and tracks the chosen center was scored with.
+One batched kernel, project_pieces, does this for the candidate centers of
+every m-cell of a level at once: the cells' barycentric solvers and charts
+are stacked, each cell's pieces are padded to a common count under a mask,
+barycentrics are an (L, C, m+1) array, the exit-facet constraints an
+(L, C, P, m+1, m+1) tensor, interval clipping for curves and the clearance
+test are array expressions, and the volumes come from one stacked
+simplex-volume call (only the clipping of triangles loops).  select_centers
+draws a block of candidates per cell, each from the cell's own seeded
+stream, scores all blocks with one kernel call, and applies the acceptance
+rule cell by cell; cells that accept nothing draw their next blocks
+together, one kernel call per round.  select_center is its one-cell call,
+project_piece the one-candidate call of the kernel, and ff_step keeps the
+image pieces and tracks each chosen center was scored with.
 
 Homotopy tracks are exact cone-volume differences: the region swept by
 y -> (1-t) y + t p(y) is the cone over the projected part minus the cone over
@@ -29,13 +36,14 @@ its k-volume); mod-2 interval parity decides coverage for curves.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .chains import Piece, PolyChain, normalize_chain, piece_volume
-from .complexes import Cell, GeoComplex, simplex_volume
+from .chains import Piece, PolyChain, normalize_chain, piece_volume, piece_volumes
+from .complexes import Cell, GeoComplex, barycentric, simplex_volume
 
 #: centers must keep this distance from pieces and their affine hulls
 CENTER_CLEARANCE = 1e-9
@@ -48,13 +56,17 @@ _MERGE_TOL = 1e-7
 
 
 class CenterSelectionError(RuntimeError):
-    def __init__(self, msg, best=None):
+    """No acceptable center in a cell: ``best`` is its best candidate, and
+    ``accepted`` the centers of the cells of the level chosen before it."""
+
+    def __init__(self, msg, best=None, accepted=()):
         super().__init__(msg)
         self.best = best
+        self.accepted = accepted
 
 
 # ---------------------------------------------------------------------------
-# exit-facet kernel: every candidate center against every piece of a cell
+# exit-facet kernel: every candidate center against every piece, every cell
 # ---------------------------------------------------------------------------
 
 
@@ -97,32 +109,37 @@ _UNIT_TRIANGLE = (np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0
 def _exit_params(rows: np.ndarray, rhs: np.ndarray, k: int):
     """Clip each piece's parameter simplex to each exit region.
 
-    rows (C, P, J, J, k) and rhs (C, P, J, J) hold the constraints
+    rows (..., J, J, k) and rhs (..., J, J) hold the constraints
     rows[..., j, i, :] . t <= rhs[..., j, i] of exit facet j.  Returns the
-    region vertices (C, P, J, V, k) in parameter space and their counts
-    (C, P, J), 0 where the region is empty.
+    region vertices (..., J, V, k) in parameter space and their counts
+    (..., J), 0 where the region is empty.  A constraint that is identically
+    zero on the piece (the piece lies where facets i and j tie) hands the
+    tied stretch to the lower facet index, so no stretch has two exits.
     """
-    C, P, J = rhs.shape[:3]
+    J = rhs.shape[-1]
     if k == 0:
         # constraints reduce to 0 <= rhs; argmin ties go to the lowest j
         feasible = (rhs >= -_CLIP_TOL).all(axis=-1)
         first = feasible & (np.cumsum(feasible, axis=-1) == 1)
-        return np.zeros((C, P, J, 1, 0)), np.where(first, 1, 0)
+        return np.zeros(rhs.shape[:-1] + (1, 0)), np.where(first, 1, 0)
+    flat = (np.abs(rows) < _CLIP_TOL).all(axis=-1)
+    tied = (flat & (np.abs(rhs) <= _CLIP_TOL) & np.tri(J, k=-1, dtype=bool)).any(axis=-1)
     if k == 1:
         a = rows[..., 0]
-        flat = np.abs(a) < _CLIP_TOL
         bound = rhs / a
         hi = np.minimum(np.where(~flat & (a > 0), bound, np.inf).min(axis=-1), 1.0)
         lo = np.maximum(np.where(~flat & (a < 0), bound, -np.inf).max(axis=-1), 0.0)
-        empty = (flat & (rhs < -_CLIP_TOL)).any(axis=-1) | (hi - lo <= _CLIP_TOL)
+        empty = (flat & (rhs < -_CLIP_TOL)).any(axis=-1) | (hi - lo <= _CLIP_TOL) | tied
         return np.stack([lo, hi], axis=-1)[..., None], np.where(empty, 0, 2)
     polys = {}
-    for idx in np.ndindex(C, P, J):
+    for idx in np.ndindex(tied.shape):
+        if tied[idx]:
+            continue
         poly = _clip_polygon(list(_UNIT_TRIANGLE), rows[idx], rhs[idx])
         if _polygon_area(poly) > _CLIP_TOL:
             polys[idx] = np.vstack(poly)
-    params = np.zeros((C, P, J, max(map(len, polys.values()), default=3), 2))
-    counts = np.zeros((C, P, J), dtype=int)
+    params = np.zeros(tied.shape + (max(map(len, polys.values()), default=3), 2))
+    counts = np.zeros(tied.shape, dtype=int)
     for idx, poly in polys.items():
         params[idx][:len(poly)] = poly
         counts[idx] = len(poly)
@@ -147,20 +164,21 @@ def _segment_distance(v: np.ndarray, d: np.ndarray, clip: bool) -> np.ndarray:
 
 
 def _too_close(x: np.ndarray, pts: np.ndarray, m: int) -> np.ndarray:
-    """Which of the centers x (C, m) lie within CENTER_CLEARANCE of a piece
-    (pts is (P, k+1, m)) or, for pieces of lower dimension than the cell, of
-    its affine hull; a center there breaks the radial-graph property of the
-    projection."""
-    k = pts.shape[1] - 1
-    v = x[:, None, :] - pts[None, :, 0]
+    """Which of the centers x (..., C, m) lie within CENTER_CLEARANCE of a
+    piece (pts is (..., P, k+1, m), the same leading axes) or, for pieces of
+    lower dimension than the cell, of its affine hull; a center there breaks
+    the radial-graph property of the projection."""
+    k = pts.shape[-2] - 1
+    pts = pts[..., None, :, :, :]
+    v = x[..., :, None, :] - pts[..., 0, :]                     # (..., C, P, m)
     if k == 0:
         hull = dist = np.linalg.norm(v, axis=-1)
     elif k == 1:
-        d = pts[:, 1] - pts[:, 0]
+        d = pts[..., 1, :] - pts[..., 0, :]
         hull = _segment_distance(v, d, clip=False)
         dist = _segment_distance(v, d, clip=True)
     elif k == 2:
-        e1, e2 = pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]
+        e1, e2 = pts[..., 1, :] - pts[..., 0, :], pts[..., 2, :] - pts[..., 0, :]
         g11, g12, g22 = (e1 * e1).sum(-1), (e1 * e2).sum(-1), (e2 * e2).sum(-1)
         r1, r2 = (v * e1).sum(-1), (v * e2).sum(-1)
         det = g11 * g22 - g12 * g12
@@ -177,38 +195,41 @@ def _too_close(x: np.ndarray, pts: np.ndarray, m: int) -> np.ndarray:
     close = dist < CENTER_CLEARANCE
     if k < m:
         close |= hull < CENTER_CLEARANCE
-    return close.any(axis=1)
+    return close.any(axis=-1)
 
 
 @dataclass(frozen=True)
 class Projections:
-    """Radial projections of a cell's P pieces from C candidate centers.
+    """Radial projections of the pieces of L cells from C candidate centers
+    per cell; each cell's pieces fill the first of its P piece slots.
 
-    Per candidate: projected k-volume ``proj``, homotopy-track (k+1)-volume
-    ``track`` (the sum of ``piece_tracks`` over the pieces), whether the
-    center keeps clearance from every piece (``clear``), and whether every
-    exit ray leaves through its facet (``exits``).  Values of a candidate
-    that fails either verdict are meaningless.
+    Per cell and candidate: projected k-volume ``proj``, homotopy-track
+    (k+1)-volume ``track`` (the sum of ``piece_tracks`` over the pieces),
+    whether the center keeps clearance from every piece (``clear``), and
+    whether every exit ray leaves through its facet (``exits``).  Values of a
+    candidate that fails either verdict are meaningless.
     """
 
-    cell: Cell
+    cells: tuple[Cell, ...]
     k: int
-    centers: np.ndarray       # (C, m)
-    proj: np.ndarray          # (C,)
-    track: np.ndarray         # (C,)
-    piece_tracks: np.ndarray  # (C, P)
-    clear: np.ndarray         # (C,) bool
-    exits: np.ndarray         # (C,) bool
-    params: np.ndarray        # (C, P, J, V, k) exit regions, piece parameters
-    counts: np.ndarray        # (C, P, J) vertices per exit region, 0 if empty
-    images: np.ndarray        # (C, P, J, V, m-1) image vertices, facet charts
+    centers: np.ndarray       # (L, C, m)
+    proj: np.ndarray          # (L, C)
+    track: np.ndarray         # (L, C)
+    piece_tracks: np.ndarray  # (L, C, P), 0 in empty slots
+    clear: np.ndarray         # (L, C) bool
+    exits: np.ndarray         # (L, C) bool
+    params: np.ndarray        # (L, C, P, J, V, k) exit regions, piece parameters
+    counts: np.ndarray        # (L, C, P, J) vertices per exit region, 0 if empty
+    images: np.ndarray        # (L, C, P, J, V, m-1) image vertices, facet charts
 
-    def image_pieces(self, i: int) -> list[Piece]:
-        """Image pieces of candidate i, piece by piece and facet by facet."""
+    def image_pieces(self, cell: int, i: int) -> list[Piece]:
+        """Image pieces of candidate i of a cell, piece by piece and facet by
+        facet."""
         out: list[Piece] = []
-        for p, j in zip(*np.nonzero(self.counts[i])):
-            verts = self.images[i, p, j, :self.counts[i, p, j]]
-            facet = self.cell[:j] + self.cell[j + 1:]
+        counts, host = self.counts[cell, i], self.cells[cell]
+        for p, j in zip(*np.nonzero(counts)):
+            verts = self.images[cell, i, p, j, :counts[p, j]]
+            facet = host[:j] + host[j + 1:]
             out.extend(Piece(facet, verts[s]) for s in _fan(self.k, len(verts)))
         return out
 
@@ -218,58 +239,85 @@ def _running_sum(values: np.ndarray) -> np.ndarray:
     return np.add.accumulate(values, axis=-1)[..., -1]
 
 
-def project_pieces(cx: GeoComplex, cell: Cell, centers: np.ndarray,
-                   pieces: Sequence[Piece]) -> Projections:
-    """Radially project every piece from each of C centers onto the cell
-    boundary, all candidates and pieces at once.
+def _stack_pieces(pieces: Sequence[Sequence[Piece]]):
+    """Points (L, P, k+1, m) of each cell's pieces, a cell with fewer than P
+    pieces filling its slots with copies of its first, and the (L, P) mask
+    of the slots that hold a piece of their own."""
+    P = max(map(len, pieces))
+    pts = np.stack([np.stack([p.points for p in ps] + [ps[0].points] * (P - len(ps)))
+                    for ps in pieces])
+    return pts, np.arange(P) < np.array([len(ps) for ps in pieces])[:, None]
 
-    The ray from a center x through y leaves the cell through facet j iff
-    c_i b_j(y) - c_j b_i(y) <= 0 for all i (b barycentric, c = b(x)), so each
-    piece's parameter simplex is clipped to one convex region per facet; on a
-    region the projection is projective and the images of its vertices span
-    the image.  Pieces must share one dimension k <= 2.
+
+def project_pieces(cx: GeoComplex, cells: Sequence[Cell], centers: np.ndarray,
+                   pieces: Sequence[Sequence[Piece]]) -> Projections:
+    """Radially project the pieces of every cell from each of its C centers
+    onto the cell boundary, all cells, candidates and pieces at once.
+
+    ``cells`` are L cells of one dimension m, ``centers`` is (L, C, m) in
+    their charts and ``pieces[l]`` the non-empty pieces of cell l, all of one
+    dimension k <= 2.  The ray from a center x through y leaves the cell
+    through facet j iff c_i b_j(y) - c_j b_i(y) <= 0 for all i (b
+    barycentric, c = b(x)), so each piece's parameter simplex is clipped to
+    one convex region per facet; on a region the projection is projective
+    and the images of its vertices span the image.  The copies that fill the
+    slots of a cell with fewer pieces (_stack_pieces) add nothing to the
+    clearance test and are masked out of regions and volumes.
     """
-    chart = cx.chart(cell)
-    m = len(cell) - 1
-    x = np.asarray(centers, dtype=float).reshape(-1, m)
-    pts = np.stack([p.points for p in pieces])
-    k = pts.shape[1] - 1
+    cells = tuple(cells)
+    L, m = len(cells), len(cells[0]) - 1
+    J = m + 1
+    x = np.asarray(centers, dtype=float).reshape(L, -1, m)
+    pts, filled = _stack_pieces(pieces)                             # (L, P, k+1, m), (L, P)
+    P, k = pts.shape[1], pts.shape[2] - 1
     if k > 2:
         raise NotImplementedError("exit-facet clipping supports pieces of dim <= 2")
-    C, P, J = len(x), len(pts), m + 1
+    charts = [cx.chart(cell) for cell in cells]
+    facets = [[cx.chart(cell[:j] + cell[j + 1:]) for j in range(J)] for cell in cells]
+    solver = np.stack([chart.bary_solver for chart in charts])      # (L, J, J)
+
+    def bary(coords):
+        # every cell's chart.barycentric at once
+        return barycentric(solver, coords.reshape(L, -1, m)).reshape(coords.shape[:-1] + (J,))
+
+    C = x.shape[1]
     # values of a candidate that fails a verdict may be inf or nan
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        clear = ~_too_close(x, pts, m)
-        c = chart.barycentric(x)                                    # (C, J)
-        b = chart.barycentric(pts.reshape(-1, m)).reshape(P, k + 1, J)
-        b0, B = b[:, 0], np.swapaxes(b[:, 1:] - b[:, :1], 1, 2)     # (P, J), (P, J, k)
-        ci, cj = c[:, None, None, :], c[:, None, :, None]           # c_i, c_j on axes (j, i)
-        rows = ci[..., None] * B[None, :, :, None] - cj[..., None] * B[None, :, None]
-        rhs = -(ci * b0[None, :, :, None] - cj * b0[None, :, None, :])
+        clear = ~_too_close(x, pts, m)                              # (L, C)
+        c = bary(x)                                                 # (L, C, J)
+        b = bary(pts)                                               # (L, P, k+1, J)
+        b0, B = b[:, :, 0], np.swapaxes(b[:, :, 1:] - b[:, :, :1], -1, -2)
+        ci, cj = c[:, :, None, None, :], c[:, :, None, :, None]     # c_i, c_j on axes (j, i)
+        B = B[:, None]                                              # (L, 1, P, J, k)
+        rows = ci[..., None] * B[..., :, None, :] - cj[..., None] * B[..., None, :, :]
+        b0 = b0[:, None]                                            # (L, 1, P, J)
+        rhs = -(ci * b0[..., :, None] - cj * b0[..., None, :])
         params, counts = _exit_params(rows, rhs, k)
-        V = params.shape[3]
+        counts = np.where(filled[:, None, :, None], counts, 0)
+        V = params.shape[-2]
         # region vertices in the cell chart and their projections
-        T = pts[:, 1:] - pts[:, :1]
-        part = pts[None, :, None, :1] + params @ T[None, :, None]   # (C, P, J, V, m)
-        b_part = chart.barycentric(part.reshape(-1, m)).reshape(C, P, J, V, J)
-        c_exit = c[:, None, :, None]
-        denom = c_exit - np.moveaxis(np.diagonal(b_part, axis1=2, axis2=4), -1, 2)
+        T = pts[:, :, 1:] - pts[:, :, :1]
+        part = pts[:, None, :, None, :1] + params @ T[:, None, :, None]  # (L, C, P, J, V, m)
+        b_part = bary(part)
+        c_exit = c[:, :, None, :, None]
+        denom = c_exit - np.moveaxis(np.diagonal(b_part, axis1=3, axis2=5), -1, 3)
         live = np.arange(V) < counts[..., None]
-        exits = ~(live & (denom <= 0)).any(axis=(1, 2, 3))
-        apex = x[:, None, None, None, :]
+        exits = ~(live & (denom <= 0)).any(axis=(2, 3, 4))
+        apex = x[:, :, None, None, None, :]
         image = apex + (c_exit / denom)[..., None] * (part - apex)
-        images = np.empty((C, P, J, V, m - 1))
-        for j in range(J):
-            facet = cell[:j] + cell[j + 1:]
-            flat = image[:, :, j].reshape(-1, m)
-            images[:, :, j] = cx.convert_coords(cell, facet, flat).reshape(C, P, V, m - 1)
+        # cell chart -> ambient -> facet chart, as GeoComplex.convert_coords
+        origin = np.array([ch.origin for ch in charts])[:, None, None, None, None]
+        ambient = origin + image @ np.array([ch.basis.T for ch in charts])[:, None, None, None]
+        f_origin = np.array([[f.origin for f in fs] for fs in facets])[:, None, None, :, None]
+        f_basis = np.array([[f.basis for f in fs] for fs in facets])[:, None, None]
+        images = (ambient - f_origin) @ f_basis                     # (L, C, P, J, V, m-1)
 
         fan = _fan(k, V)
-        in_fan = counts[..., None] > fan[:, -1]                     # (C, P, J, S)
+        in_fan = counts[..., None] > fan[:, -1]                     # (L, C, P, J, S)
         face_volumes = np.where(in_fan, simplex_volume(images[..., fan, :]), 0.0)
-        piece_proj = _running_sum(face_volumes.reshape(C, P, -1))
+        piece_proj = _running_sum(face_volumes.reshape(L, C, P, -1))
         if k == 0:
-            piece_tracks = np.zeros((C, P))
+            piece_tracks = np.zeros((L, C, P))
         else:
             # the track of a region is the cone over its image minus the cone
             # over the region itself, both from the center
@@ -282,7 +330,7 @@ def project_pieces(cx: GeoComplex, cell: Cell, centers: np.ndarray,
             swept = np.where(counts > 0, cones(image) - cones(part), 0.0)
             piece_tracks = np.maximum(_running_sum(swept), 0.0)
     return Projections(
-        cell, k, x, _running_sum(piece_proj), _running_sum(piece_tracks), piece_tracks,
+        cells, k, x, _running_sum(piece_proj), _running_sum(piece_tracks), piece_tracks,
         clear, exits, params, counts, images,
     )
 
@@ -292,10 +340,11 @@ def project_piece(cx: GeoComplex, cell: Cell, x0: np.ndarray, piece: Piece):
 
     Returns (pieces on facet cells, projected k-volume, track (k+1)-volume).
     """
-    scored = project_pieces(cx, cell, np.asarray(x0, dtype=float)[None, :], [piece])
-    if not scored.exits[0]:
+    x0 = np.asarray(x0, dtype=float)
+    scored = project_pieces(cx, [cell], x0[None, None, :], [[piece]])
+    if not scored.exits[0, 0]:
         raise FloatingPointError("projection ray does not exit through facet")
-    return scored.image_pieces(0), float(scored.proj[0]), float(scored.track[0])
+    return scored.image_pieces(0, 0), float(scored.proj[0, 0]), float(scored.track[0, 0])
 
 
 def radial_project(cx: GeoComplex, cell: Cell, x0, piece: Piece) -> list[Piece]:
@@ -339,78 +388,130 @@ class CenterInfo:
     rejected_exit: int = 0
 
 
+class _CenterSearch:
+    """One cell's rejection sampling, fed one scored block of candidates at a
+    time; ``info`` is set once a candidate is accepted."""
+
+    def __init__(self, cx, cell, pieces, rng, c_target, max_tries, total):
+        self.cell, self.pieces, self.rng = cell, pieces, rng
+        self.model = cx.chart(cell).model
+        self.target, self.max_tries, self.total = c_target, max_tries, total
+        self.attempt = self.rejected_clearance = self.rejected_exit = 0
+        self.candidates: list = []  # (ratio, attempt, scored, cell row, candidate)
+        self.info: CenterInfo | None = None
+        if not pieces:
+            bary = np.full(len(cell), 1.0 / len(cell))
+            self.info = CenterInfo(bary @ self.model, 0.0, 0, 0.0)
+
+    def accept(self, candidate, target):
+        ratio, attempt, scored, row, i = candidate
+        self.info = CenterInfo(
+            scored.centers[row, i], ratio, attempt, target,
+            tuple(scored.image_pieces(row, i)),
+            tuple(scored.piece_tracks[row, i, :len(self.pieces)].tolist()),
+            self.rejected_clearance, self.rejected_exit,
+        )
+
+    def feed_clear(self, centers: np.ndarray, clear: list[bool]):
+        # projecting a full-dimensional piece to the boundary kills its
+        # volume and sweeps no (k+1)-volume inside the cell
+        if any(clear):
+            i = clear.index(True)
+            self.info = CenterInfo(centers[i], 0.0, self.attempt + i + 1, self.target or 0.0,
+                                   rejected_clearance=self.rejected_clearance + i)
+        self.rejected_clearance += len(clear)
+        self.attempt += len(clear)
+
+    def feed(self, scored: Projections, row: int, ratios: list[float]):
+        clear, exits = scored.clear[row].tolist(), scored.exits[row].tolist()
+        for i, ratio in enumerate(ratios):
+            self.attempt += 1
+            if not clear[i]:
+                self.rejected_clearance += 1
+                continue
+            if not exits[i]:
+                self.rejected_exit += 1
+                continue
+            self.candidates.append((ratio, self.attempt, scored, row, i))
+            if self.target is None and len(self.candidates) >= min(_BATCH, self.max_tries):
+                self.target = 4.0 * statistics.median(c[0] for c in self.candidates)
+                for candidate in self.candidates:
+                    if candidate[0] <= self.target:
+                        return self.accept(candidate, self.target)
+            elif self.target is not None and ratio <= self.target:
+                return self.accept(self.candidates[-1], self.target)
+
+    def finish(self, accepted: list[CenterInfo]):
+        """The choice once max_tries candidates found none acceptable."""
+        best = min(self.candidates, key=lambda c: c[0]) if self.candidates else None
+        if best and self.target is None:
+            # tiny max_tries: fall back to the best candidate seen
+            return self.accept(best, 4.0 * best[0])
+        if best:
+            self.accept(best, self.target or 0.0)
+        raise CenterSelectionError(
+            f"no acceptable center in {self.max_tries} tries for cell {self.cell}",
+            best=self.info, accepted=tuple(accepted),
+        )
+
+
+def select_centers(cx: GeoComplex, cells: Sequence[Cell],
+                   pieces: Sequence[Sequence[Piece]], rngs: Sequence,
+                   c_target: float | None = None, max_tries: int = 64):
+    """Seeded rejection sampling of a projection center in each of the cells
+    of one dimension, cell l drawing from rngs[l].
+
+    Each cell accepts the first candidate whose projected volume and homotopy
+    track are both at most c_target times its piece volume.  Without an
+    explicit c_target, 4x the median ratio of its first 8 valid candidates
+    is used.  Every cell draws a block of candidates, and one project_pieces
+    call scores the blocks of all cells still searching; the choices are
+    those of drawing each cell's candidates one at a time.  Returns the
+    cells' CenterInfos and the number of kernel calls.  The first cell
+    (in the given order) left without a center raises CenterSelectionError,
+    which carries the CenterInfos of the cells before it.
+    """
+    volumes = iter(piece_volumes([p for ps in pieces for p in ps]).tolist())
+    searches = [
+        _CenterSearch(cx, cell, ps, rng, c_target, max_tries,
+                      sum(next(volumes) for _ in ps))
+        for cell, ps, rng in zip(cells, pieces, rngs)
+    ]
+    full_dim = all(p.points.shape[0] == p.points.shape[1] + 1 for ps in pieces for p in ps)
+    active = [s for s in searches if s.info is None and s.attempt < max_tries]
+    kernel_calls = 0
+    m = len(cells[0]) - 1 if cells else 0
+    while active:
+        size = min(_BATCH, max_tries - active[0].attempt)
+        centers = np.stack([s.rng.dirichlet(np.ones(m + 1), size=size) @ s.model
+                            for s in active])
+        kernel_calls += 1
+        if full_dim:
+            clear = ~_too_close(centers, _stack_pieces([s.pieces for s in active])[0], m)
+            for s, x, row in zip(active, centers, clear.tolist()):
+                s.feed_clear(x, row)
+        else:
+            scored = project_pieces(cx, [s.cell for s in active], centers,
+                                    [s.pieces for s in active])
+            totals = np.array([s.total for s in active])[:, None]
+            ratios = (np.maximum(scored.proj, scored.track) / totals).tolist()
+            for row, s in enumerate(active):
+                s.feed(scored, row, ratios[row])
+        active = [s for s in active if s.info is None and s.attempt < max_tries]
+    infos: list[CenterInfo] = []
+    for s in searches:
+        if s.info is None:
+            s.finish(infos)
+        infos.append(s.info)
+    return infos, kernel_calls
+
+
 def select_center(cx: GeoComplex, cell: Cell, pieces: Sequence[Piece],
                   c_target: float | None = None, max_tries: int = 64,
                   rng=None) -> CenterInfo:
-    """Seeded rejection sampling of a projection center inside the cell.
-
-    Accepts the first candidate whose projected volume and homotopy track are
-    both at most c_target times the piece volume.  Without an explicit
-    c_target, 4x the median ratio of the first 8 valid candidates is used.
-    Candidates are drawn from rng in blocks and each block is scored by one
-    project_pieces call; the choice is that of drawing them one at a time.
-    """
+    """select_centers for one cell; rng is a Generator or a seed."""
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    chart = cx.chart(cell)
-    m = len(cell) - 1
-    if not pieces:
-        bary = np.full(m + 1, 1.0 / (m + 1))
-        return CenterInfo(bary @ chart.model, 0.0, 0, 0.0)
-    total = sum(piece_volume(p) for p in pieces)
-    full_dim = all(p.points.shape[0] - 1 == m for p in pieces)
-    rejected_clearance = rejected_exit = 0  # candidates rejected so far
-
-    def info(candidate, target):
-        ratio, attempt, scored, i = candidate
-        return CenterInfo(
-            scored.centers[i], ratio, attempt, target,
-            tuple(scored.image_pieces(i)), tuple(map(float, scored.piece_tracks[i])),
-            rejected_clearance, rejected_exit,
-        )
-
-    candidates = []
-    attempt = 0
-    while attempt < max_tries:
-        draws = rng.dirichlet(np.ones(m + 1), size=min(_BATCH, max_tries - attempt))
-        centers = draws @ chart.model
-        if full_dim:
-            # projecting a full-dimensional piece to the boundary kills its
-            # volume and sweeps no (k+1)-volume inside the cell
-            clear = ~_too_close(centers, np.stack([p.points for p in pieces]), m)
-            if clear.any():
-                i = int(np.argmax(clear))
-                return CenterInfo(centers[i], 0.0, attempt + i + 1, c_target or 0.0,
-                                  rejected_clearance=rejected_clearance + i)
-            rejected_clearance += len(centers)
-            attempt += len(centers)
-            continue
-        scored = project_pieces(cx, cell, centers, pieces)
-        for i in range(len(centers)):
-            attempt += 1
-            if not scored.clear[i]:
-                rejected_clearance += 1
-                continue
-            if not scored.exits[i]:
-                rejected_exit += 1
-                continue
-            ratio = float(max(scored.proj[i], scored.track[i])) / total
-            candidates.append((ratio, attempt, scored, i))
-            if c_target is None and len(candidates) >= min(_BATCH, max_tries):
-                c_target = 4.0 * float(np.median([c[0] for c in candidates]))
-                for candidate in candidates:
-                    if candidate[0] <= c_target:
-                        return info(candidate, c_target)
-            elif c_target is not None and ratio <= c_target:
-                return info(candidates[-1], c_target)
-    if candidates and c_target is None:
-        # tiny max_tries: fall back to the best candidate seen
-        best = min(candidates, key=lambda c: c[0])
-        return info(best, 4.0 * best[0])
-    best = min(candidates, key=lambda c: c[0]) if candidates else None
-    raise CenterSelectionError(
-        f"no acceptable center in {max_tries} tries for cell {cell}",
-        best=info(best, c_target or 0.0) if best else None,
-    )
+    return select_centers(cx, [cell], [list(pieces)], [rng], c_target, max_tries)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +577,10 @@ class StepTrace:
     ``pieces_out`` count the pieces of the chain entering and leaving the
     level.  ``center_tries`` sums the tries of the accepted centers, and
     ``rejected_clearance`` and ``rejected_exit`` count the candidates that
-    center selection rejected, by reason.  Every field is deterministic for
-    a given seed.
+    center selection rejected, by reason.  ``kernel_calls`` counts the
+    scoring rounds, each one kernel call over every cell still searching: 1
+    when every cell accepts a candidate of its first block.  Every field is
+    deterministic for a given seed.
     """
 
     level: int
@@ -490,6 +593,7 @@ class StepTrace:
     center_tries: int
     rejected_clearance: int
     rejected_exit: int
+    kernel_calls: int
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -522,11 +626,11 @@ def ff_step(cx: GeoComplex, chain: PolyChain, m: int, seed: int,
     """One collapse level: push pieces out of the open m-cells.
 
     For m > k every m-hosted piece is radially projected to the cell
-    boundary from the center select_center chose, reusing the images it
-    scored that center with; for m = k cells are kept exactly when covered.
-    Pieces hosted in the (m-1)-skeleton pass through unchanged.  Returns the
-    new chain, the level's StepTrace (with its homotopy-track volume), the
-    cells kept whole and the largest accepted center ratio.
+    boundary from the center select_centers chose for its cell, reusing the
+    images it scored that center with; for m = k cells are kept exactly when
+    covered.  Pieces hosted in the (m-1)-skeleton pass through unchanged.
+    Returns the new chain, the level's StepTrace (with its homotopy-track
+    volume), the cells kept whole and the largest accepted center ratio.
     """
     before = chain.volume()
     chain = normalize_chain(cx, chain)
@@ -539,34 +643,36 @@ def ff_step(cx: GeoComplex, chain: PolyChain, m: int, seed: int,
     for p in chain.pieces:
         if len(p.host) - 1 == m:
             groups.setdefault(p.host, []).append(p)
+    cells = sorted(groups)
 
     new_pieces = list(passthrough)
     whole_cells = []
     track = 0.0
     max_ratio = 0.0
-    tries = rejected_clearance = rejected_exit = 0
-    for cell in sorted(groups):
-        pieces = groups[cell]
-        if m == chain.k:
-            if _covers_cell(cx, cell, pieces):
+    infos: list[CenterInfo] = []
+    kernel_calls = 0
+    if m == chain.k:
+        for cell in cells:
+            if _covers_cell(cx, cell, groups[cell]):
                 new_pieces.append(_whole_cell_piece(cx, cell))
                 whole_cells.append(cell)
             # otherwise the radial collapse pushes the partial mass into the
             # (k-1)-skeleton where it carries no k-volume
-            continue
-        rng = _cell_rng(seed, m, cell)
-        info = select_center(cx, cell, pieces, c_target=c_target,
-                             max_tries=max_tries, rng=rng)
+    else:
+        infos, kernel_calls = select_centers(
+            cx, cells, [groups[cell] for cell in cells],
+            [_cell_rng(seed, m, cell) for cell in cells], c_target, max_tries)
+    for info in infos:
         max_ratio = max(max_ratio, info.ratio)
         new_pieces.extend(info.pieces)
         for dt in info.tracks:
             track += dt
-        tries += info.tries
-        rejected_clearance += info.rejected_clearance
-        rejected_exit += info.rejected_exit
     out = normalize_chain(cx, PolyChain(chain.k, new_pieces))
-    trace = StepTrace(m, len(groups), before, out.volume(), track, len(chain),
-                      len(out), tries, rejected_clearance, rejected_exit)
+    trace = StepTrace(
+        m, len(groups), before, out.volume(), track, len(chain), len(out),
+        sum(i.tries for i in infos), sum(i.rejected_clearance for i in infos),
+        sum(i.rejected_exit for i in infos), kernel_calls,
+    )
     return out, trace, tuple(whole_cells), max_ratio
 
 
@@ -623,8 +729,5 @@ def vanishing_threshold(cx: GeoComplex, k: int, c_measured: float) -> float:
     """Local-mass threshold below which a point must collapse to the
     (k-1)-skeleton: min cell volume over the step constant and the count of
     top cells around a k-cell."""
-    vols = [cx.cell_volume(cell) for cell in cx.cells_of_dim(k)]
-    if not vols:
-        raise ValueError(f"complex has no {k}-cells")
     c = max(float(c_measured), 1.0)
-    return min(vols) / (c * math.comb(cx.dim + 1, k + 1))
+    return cx.min_cell_volume(k) / (c * math.comb(cx.dim + 1, k + 1))

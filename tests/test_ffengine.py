@@ -31,8 +31,8 @@ from symgeo.ffengine import (
     whole_edges_of,
 )
 from symgeo.ffengine import deform, homology
-from symgeo.ffengine.chains import normalize_host, piece_volume
-from symgeo.ffengine.complexes import simplex_volume
+from symgeo.ffengine.chains import DEGENERATE_GRAM, normalize_host, piece_volume
+from symgeo.ffengine.complexes import simplex_gram_det, simplex_volume
 from symgeo.ffengine.deform import project_piece
 
 
@@ -174,6 +174,124 @@ class TestChains:
         assert np.allclose(
             unit_square.to_ambient(back.pieces[0].host, back.pieces[0].points), amb
         )
+
+
+def _ref_chain_pieces(k, pieces, reduce=True):
+    """Oracle: the dict-based PolyChain constructor, one piece at a time."""
+    kept: dict = {}
+    for piece in pieces:
+        pts = np.asarray(piece.points, dtype=float)
+        if simplex_gram_det(pts) < DEGENERATE_GRAM:
+            continue
+        piece = Piece(piece.host, pts)
+        if reduce:
+            rounded = np.round(pts, 9) + 0.0
+            key = (piece.host, tuple(sorted(tuple(row) for row in rounded)))
+            if key in kept:
+                del kept[key]
+            else:
+                kept[key] = piece
+        else:
+            kept[id(piece)] = piece
+    return list(kept.values())
+
+
+_GRID = st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.5])
+
+
+@st.composite
+def _chain_cases(draw):
+    """Pieces of one dimension k hosted on cells of every dimension of the
+    tetrahedron, with exact copies, copies with permuted points, copies
+    moved within the key rounding, and degenerate pieces (repeated grid
+    points, or more points than the host dimension allows)."""
+    k = draw(st.integers(0, 2))
+    cells = [c for d in range(4) for c in _TETRA.cells_of_dim(d)]
+    pieces: list[Piece] = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["new", "copy", "permuted", "jittered"])) if pieces else "new"
+        if kind == "new":
+            host = draw(st.sampled_from(cells))
+            d = len(host) - 1
+            coord = _GRID | st.floats(-1.0, 1.0)
+            rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                                 min_size=k + 1, max_size=k + 1))
+            pieces.append(Piece(host, np.array(rows, dtype=float).reshape(k + 1, d)))
+            continue
+        src = draw(st.sampled_from(pieces))
+        pts = src.points.copy()
+        if kind == "permuted":
+            pts = pts[draw(st.permutations(range(k + 1)))]
+        elif kind == "jittered":
+            pts = pts + draw(st.floats(-4e-10, 4e-10))
+        pieces.append(Piece(src.host, pts))
+    return k, pieces
+
+
+class TestArrayChains:
+    """The stacked PolyChain constructor and normalize_chain against the
+    piece-at-a-time forms they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_chain_cases(), st.booleans())
+    def test_same_pieces_as_dict_constructor(self, case, reduce):
+        k, pieces = case
+        chain = PolyChain(k, pieces, reduce=reduce)
+        ref = _ref_chain_pieces(k, pieces, reduce=reduce)
+        assert [p.host for p in chain.pieces] == [p.host for p in ref]
+        for got, want in zip(chain.pieces, ref):
+            assert got.points.shape == want.points.shape
+            assert got.points.tobytes() == want.points.tobytes()
+        assert chain.volume() == float(sum(piece_volume(p) for p in ref))
+
+    def test_normalized_chain_returned_unchanged(self, torus8):
+        chain, _ = random_loop_chain(torus8, seed=3)
+        assert normalize_chain(torus8, chain) is chain
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_rehosts_like_piece_at_a_time(self, torus8, seed):
+        # lift every other piece of a chain on edges into a triangle holding
+        # it, so the chain mixes host dimensions and some pieces have a dead
+        # coordinate
+        loop, _ = random_loop_chain(torus8, seed=seed)
+        chain = ff_step(torus8, loop, 2, seed)[0]
+        pieces = []
+        for i, p in enumerate(chain.pieces):
+            if i % 2:
+                tri = torus8.cofacets(p.host)[0]
+                p = Piece(tri, torus8.convert_coords(p.host, tri, p.points))
+            pieces.append(p)
+        lifted = PolyChain(1, pieces)
+        got = normalize_chain(torus8, lifted)
+        want = PolyChain(1, (normalize_host(torus8, p) for p in lifted.pieces))
+        assert got is not lifted
+        assert [p.host for p in got.pieces] == [p.host for p in want.pieces]
+        assert all(a.points.tobytes() == b.points.tobytes()
+                   for a, b in zip(got.pieces, want.pieces))
+
+    def test_two_level_deformation_rebuilds_at_most_three_chains(self, torus8, monkeypatch):
+        from symgeo.ffengine import chains
+
+        inside, rebuilt = [0], [0]
+        normalize, init = chains.normalize_chain, chains.PolyChain.__init__
+
+        def counting_normalize(*args):
+            inside[0] += 1
+            try:
+                return normalize(*args)
+            finally:
+                inside[0] -= 1
+
+        def counting_init(self, *args, **kwargs):
+            rebuilt[0] += inside[0] > 0
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(chains.PolyChain, "__init__", counting_init)
+        monkeypatch.setattr(deform, "normalize_chain", counting_normalize)
+        chain, _ = random_loop_chain(torus8, seed=30)
+        result = ff_deform(torus8, chain, seed=30)
+        assert [s.level for s in result.steps] == [2, 1]
+        assert rebuilt[0] <= 3
 
 
 class TestRadialProject:
@@ -418,7 +536,7 @@ class TestFFDeform:
         assert all(
             set(s) == {"level", "cells", "volume_before", "volume_after", "track",
                        "pieces_in", "pieces_out", "center_tries",
-                       "rejected_clearance", "rejected_exit"}
+                       "rejected_clearance", "rejected_exit", "kernel_calls"}
             for s in doc["steps"]
         )
         assert doc["steps"][0]["track"] == pytest.approx(result.total_track)
@@ -426,9 +544,14 @@ class TestFFDeform:
 
     def test_step_counters(self, torus8, monkeypatch):
         infos = []
-        select = deform.select_center
-        monkeypatch.setattr(deform, "select_center",
-                            lambda *a, **kw: infos.append(select(*a, **kw)) or infos[-1])
+        select = deform.select_centers
+
+        def recording(*args, **kwargs):
+            result = select(*args, **kwargs)
+            infos.extend(result[0])
+            return result
+
+        monkeypatch.setattr(deform, "select_centers", recording)
         chain, _ = random_loop_chain(torus8, seed=30)
         result = ff_deform(torus8, chain, seed=30)
         top, edges = result.steps
@@ -439,9 +562,33 @@ class TestFFDeform:
         assert top.rejected_clearance == sum(i.rejected_clearance for i in infos)
         assert top.rejected_exit == sum(i.rejected_exit for i in infos)
         # the chain's own level only decides coverage
-        assert (edges.center_tries, edges.rejected_clearance, edges.rejected_exit) == (0, 0, 0)
+        assert (edges.center_tries, edges.rejected_clearance, edges.rejected_exit,
+                edges.kernel_calls) == (0, 0, 0, 0)
         again = ff_deform(torus8, chain, seed=30).to_json_dict()
         assert json.dumps(again) == json.dumps(result.to_json_dict())
+
+    def test_one_kernel_call_when_every_cell_accepts_its_first_block(self, torus8):
+        chain, _ = random_loop_chain(torus8, seed=30)
+        top = ff_deform(torus8, chain, seed=30).steps[0]
+        assert (top.rejected_clearance, top.rejected_exit) == (0, 0)
+        assert top.cells > 1 and top.kernel_calls == 1
+
+    def test_level_selection_equals_one_cell_at_a_time(self, unit_square):
+        # the first draw of cell (0, 1, 2) lands on its point piece, so that
+        # cell needs a second block of candidates: two kernel calls in all
+        cells = [(0, 1, 2), (0, 2, 3)]
+        first = np.random.default_rng(5).dirichlet(np.ones(3), size=8)[:1]
+        weights = (first, np.array([[0.3, 0.3, 0.4]]))
+        pieces = [[Piece(cell, w @ unit_square.chart(cell).model)]
+                  for cell, w in zip(cells, weights)]
+        infos, calls = deform.select_centers(
+            unit_square, cells, pieces, [np.random.default_rng(s) for s in (5, 6)])
+        assert calls == 2
+        assert [i.rejected_clearance for i in infos] == [1, 0]
+        for cell, ps, seed, info in zip(cells, pieces, (5, 6), infos):
+            one = select_center(unit_square, cell, ps, rng=seed)
+            assert np.array_equal(one.point, info.point)
+            assert (one.tries, one.ratio, one.tracks) == (info.tries, info.ratio, info.tracks)
 
     def test_rejects_top_dimension(self, torus8):
         cell = torus8.cells_of_dim(2)[0]
@@ -494,6 +641,20 @@ class TestVanishingThreshold:
             eta = vanishing_threshold(torus8, 1, c)
             min_len = min(torus8.cell_volume(e) for e in torus8.cells_of_dim(1))
             assert eta <= min_len
+
+
+    def test_min_cell_volume_computed_once_per_complex(self):
+        cx = flat_torus_complex(8)
+        calls = []
+        volume = cx.cell_volume
+        cx.cell_volume = lambda cell: calls.append(cell) or volume(cell)
+        eta = vanishing_threshold(cx, 1, 2.0)
+        assert len(calls) == len(cx.cells_of_dim(1)) == 192
+        calls.clear()
+        assert vanishing_threshold(cx, 1, 5.0) == pytest.approx(eta * 2.0 / 5.0)
+        assert calls == []
+        scaled = GeoComplex(cx.vertices * 3.0, cx.cells_of_dim(2), metadata=cx.metadata)
+        assert vanishing_threshold(scaled, 1, 2.0) == pytest.approx(3.0 * eta)
 
 
 class TestHomology:
@@ -554,10 +715,15 @@ class TestGf2Engine:
 
 
 # ---------------------------------------------------------------------------
-# the batched exit-facet kernel against the per-candidate, per-piece loop
+# the level exit-facet kernel against the per-cell kernel and the scalar loop
 # ---------------------------------------------------------------------------
 
 _CLIP_TOL = deform._CLIP_TOL
+
+
+def _ref_tied(row, rhs) -> bool:
+    # a constraint identically zero on the piece: facets i and j tie there
+    return bool(np.all(np.abs(row) < _CLIP_TOL)) and abs(rhs) <= _CLIP_TOL
 
 
 def _ref_clip_interval(constraints, rhs):
@@ -592,7 +758,8 @@ def _ref_cone_volume(apex, verts, k):
 
 def _ref_project_piece(cx, cell, x0, piece):
     """Oracle: one center, one piece, one exit facet at a time, as
-    project_piece computed it before the batched kernel."""
+    project_piece computed it before the batched kernel, with stretches on a
+    tie between two facets given to the lower one."""
     chart = cx.chart(cell)
     m, k = len(cell) - 1, piece.points.shape[0] - 1
     c = chart.barycentric(x0[None, :])[0]
@@ -608,6 +775,8 @@ def _ref_project_piece(cx, cell, x0, piece):
             if not all(r >= -_CLIP_TOL for r in rhs):
                 continue
             params = np.zeros((1, 0))
+        elif any(i < j and _ref_tied(row, d) for i, row, d in zip(others, rows, rhs)):
+            continue
         elif k == 1:
             seg = _ref_clip_interval([row[0] for row in rows], rhs)
             if seg is None:
@@ -633,6 +802,58 @@ def _ref_project_piece(cx, cell, x0, piece):
         if k == 0:
             break  # a point leaves through its first exit facet only
     return out, proj, max(track, 0.0)
+
+
+def _cell_kernel(cx, cell, centers, pieces):
+    """Oracle: the per-cell kernel, every candidate against every piece of
+    one cell, as project_pieces computed it before it took a whole level."""
+    chart = cx.chart(cell)
+    m = len(cell) - 1
+    x = np.asarray(centers, dtype=float).reshape(-1, m)
+    pts = np.stack([p.points for p in pieces])
+    k = pts.shape[1] - 1
+    C, P, J = len(x), len(pts), m + 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        clear = ~deform._too_close(x, pts, m)
+        c = chart.barycentric(x)
+        b = chart.barycentric(pts.reshape(-1, m)).reshape(P, k + 1, J)
+        b0, B = b[:, 0], np.swapaxes(b[:, 1:] - b[:, :1], 1, 2)
+        ci, cj = c[:, None, None, :], c[:, None, :, None]
+        rows = ci[..., None] * B[None, :, :, None] - cj[..., None] * B[None, :, None]
+        rhs = -(ci * b0[None, :, :, None] - cj * b0[None, :, None, :])
+        params, counts = deform._exit_params(rows, rhs, k)
+        V = params.shape[3]
+        T = pts[:, 1:] - pts[:, :1]
+        part = pts[None, :, None, :1] + params @ T[None, :, None]
+        b_part = chart.barycentric(part.reshape(-1, m)).reshape(C, P, J, V, J)
+        c_exit = c[:, None, :, None]
+        denom = c_exit - np.moveaxis(np.diagonal(b_part, axis1=2, axis2=4), -1, 2)
+        live = np.arange(V) < counts[..., None]
+        exits = ~(live & (denom <= 0)).any(axis=(1, 2, 3))
+        apex = x[:, None, None, None, :]
+        image = apex + (c_exit / denom)[..., None] * (part - apex)
+        images = np.empty((C, P, J, V, m - 1))
+        for j in range(J):
+            facet = cell[:j] + cell[j + 1:]
+            flat = image[:, :, j].reshape(-1, m)
+            images[:, :, j] = cx.convert_coords(cell, facet, flat).reshape(C, P, V, m - 1)
+        fan = deform._fan(k, V)
+        in_fan = counts[..., None] > fan[:, -1]
+        face_volumes = np.where(in_fan, simplex_volume(images[..., fan, :]), 0.0)
+        piece_proj = deform._running_sum(face_volumes.reshape(C, P, -1))
+        if k == 0:
+            piece_tracks = np.zeros((C, P))
+        else:
+            apex = np.broadcast_to(apex[..., None, :], in_fan.shape + (1, m))
+
+            def cones(verts):
+                cone = np.concatenate([verts[..., fan, :], apex], axis=-2)
+                return deform._running_sum(np.where(in_fan, simplex_volume(cone), 0.0))
+
+            swept = np.where(counts > 0, cones(image) - cones(part), 0.0)
+            piece_tracks = np.maximum(deform._running_sum(swept), 0.0)
+    return {"clear": clear, "exits": exits, "counts": counts, "images": images,
+            "proj": deform._running_sum(piece_proj), "piece_tracks": piece_tracks}
 
 
 def _ref_dist_to_hull(x, pts):
@@ -688,12 +909,11 @@ def _points(cx, cell, weights):
     return (w / w.sum(axis=-1, keepdims=True)) @ cx.chart(cell).model
 
 
-@st.composite
-def _kernel_cases(draw, cx, cells, k):
-    cell = draw(st.sampled_from(cells))
+def _draw_cell_case(draw, cx, cell, k, n_centers):
     m = len(cell) - 1
     centers = _points(cx, cell, draw(st.lists(
-        st.lists(_interior, min_size=m + 1, max_size=m + 1), min_size=1, max_size=5)))
+        st.lists(_interior, min_size=m + 1, max_size=m + 1),
+        min_size=n_centers, max_size=n_centers)))
     pieces = []
     for _ in range(draw(st.integers(1, 3))):
         corners = draw(st.lists(_vertex_weights(m), min_size=k + 1, max_size=k + 1))
@@ -704,7 +924,24 @@ def _kernel_cases(draw, cx, cells, k):
         assume(normalize_host(cx, piece).host == cell)
         assume(k == 0 or simplex_volume(piece.points) > 1e-3)
         pieces.append(piece)
+    return centers, pieces
+
+
+@st.composite
+def _kernel_cases(draw, cx, cells, k):
+    cell = draw(st.sampled_from(cells))
+    centers, pieces = _draw_cell_case(draw, cx, cell, k, draw(st.integers(1, 5)))
     return cx, cell, centers, pieces
+
+
+@st.composite
+def _level_cases(draw, cx, cells, k):
+    """Up to four distinct cells of one dimension, each with its own pieces
+    and the same number of centers."""
+    chosen = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=4, unique=True))
+    n_centers = draw(st.integers(1, 5))
+    cases = [_draw_cell_case(draw, cx, cell, k, n_centers) for cell in chosen]
+    return cx, chosen, np.stack([c for c, _ in cases]), [p for _, p in cases]
 
 
 _UNIT_SQUARE = GeoComplex(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
@@ -718,79 +955,117 @@ _KERNEL_CASES = st.one_of(
     _kernel_cases(_TETRA, [(0, 1, 2, 3)], 2),
     _kernel_cases(_TETRA, [(0, 1, 2, 3)], 1),
 )
+_LEVEL_CASES = st.one_of(
+    _level_cases(_TORUS8, _TORUS8.cells_of_dim(2)[:16], 1),
+    _level_cases(_TORUS8, _TORUS8.cells_of_dim(2)[:16], 0),
+    _level_cases(_TETRA, _TETRA.cells_of_dim(2), 1),
+    _level_cases(_TETRA, [(0, 1, 2, 3)], 2),
+)
+
+
+def _lone(cx, cell, centers, pieces):
+    """project_pieces on one cell."""
+    return deform.project_pieces(cx, [cell], centers[None], [pieces])
 
 
 class TestProjectPieces:
-    """project_pieces against single-candidate calls and the scalar loop."""
+    """project_pieces against lone-cell and single-candidate calls, the
+    per-cell kernel and the scalar loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_LEVEL_CASES)
+    def test_level_rows_equal_lone_cell_calls(self, case):
+        cx, cells, centers, pieces = case
+        level = deform.project_pieces(cx, cells, centers, pieces)
+        for l, cell in enumerate(cells):
+            one = _lone(cx, cell, centers[l], pieces[l])
+            ref = _cell_kernel(cx, cell, centers[l], pieces[l])
+            P = len(pieces[l])
+            for got in (level, one):
+                assert got.clear[l if got is level else 0].tolist() == ref["clear"].tolist()
+                assert got.exits[l if got is level else 0].tolist() == ref["exits"].tolist()
+            row = level.counts[l]
+            assert np.array_equal(row[:, :P], ref["counts"])
+            assert not row[:, P:].any() and not level.piece_tracks[l, :, P:].any()
+            assert np.array_equal(one.counts[0], ref["counts"])
+            for i in np.flatnonzero(ref["clear"] & ref["exits"]):
+                for got, g in ((level, l), (one, 0)):
+                    assert got.proj[g, i] == pytest.approx(ref["proj"][i], rel=0, abs=1e-12)
+                    assert np.allclose(got.piece_tracks[g, i, :P], ref["piece_tracks"][i],
+                                       rtol=0, atol=1e-12)
+                    live = ref["counts"][i] > 0
+                    assert np.allclose(got.images[g, i, :P][live], ref["images"][i][live],
+                                       rtol=0, atol=1e-12)
+                _assert_same_pieces(level.image_pieces(l, i), one.image_pieces(0, i))
 
     @settings(max_examples=60, deadline=None)
     @given(_KERNEL_CASES)
     def test_batch_row_equals_single_call(self, case):
         cx, cell, centers, pieces = case
-        batch = deform.project_pieces(cx, cell, centers, pieces)
+        batch = _lone(cx, cell, centers, pieces)
         for i, x in enumerate(centers):
-            one = deform.project_pieces(cx, cell, x[None, :], pieces)
-            assert (batch.clear[i], batch.exits[i]) == (one.clear[0], one.exits[0])
-            assert np.array_equal(batch.counts[i], one.counts[0])
-            if batch.clear[i] and batch.exits[i]:
-                assert batch.proj[i] == pytest.approx(one.proj[0], rel=0, abs=1e-12)
-                assert np.allclose(batch.piece_tracks[i], one.piece_tracks[0],
+            one = _lone(cx, cell, x[None, :], pieces)
+            assert (batch.clear[0, i], batch.exits[0, i]) == (one.clear[0, 0], one.exits[0, 0])
+            assert np.array_equal(batch.counts[0, i], one.counts[0, 0])
+            if batch.clear[0, i] and batch.exits[0, i]:
+                assert batch.proj[0, i] == pytest.approx(one.proj[0, 0], rel=0, abs=1e-12)
+                assert np.allclose(batch.piece_tracks[0, i], one.piece_tracks[0, 0],
                                    rtol=0, atol=1e-12)
-                _assert_same_pieces(batch.image_pieces(i), one.image_pieces(0))
+                _assert_same_pieces(batch.image_pieces(0, i), one.image_pieces(0, 0))
 
     @settings(max_examples=60, deadline=None)
     @given(_KERNEL_CASES)
     def test_agrees_with_scalar_loop(self, case):
         cx, cell, centers, pieces = case
         m = len(cell) - 1
-        batch = deform.project_pieces(cx, cell, centers, pieces)
+        batch = _lone(cx, cell, centers, pieces)
         for i, x in enumerate(centers):
-            assert batch.clear[i] == (not any(_ref_too_close(x, p, m) for p in pieces))
+            assert batch.clear[0, i] == (not any(_ref_too_close(x, p, m) for p in pieces))
             try:
                 ref = [_ref_project_piece(cx, cell, x, p) for p in pieces]
             except FloatingPointError:
-                assert not batch.exits[i]
+                assert not batch.exits[0, i]
                 continue
-            assert batch.exits[i]
-            if not batch.clear[i]:
+            assert batch.exits[0, i]
+            if not batch.clear[0, i]:
                 continue
-            _assert_same_pieces(batch.image_pieces(i), [q for r in ref for q in r[0]])
-            assert batch.proj[i] == pytest.approx(sum(r[1] for r in ref), rel=0, abs=1e-12)
-            assert np.allclose(batch.piece_tracks[i], [r[2] for r in ref], rtol=0, atol=1e-12)
+            _assert_same_pieces(batch.image_pieces(0, i), [q for r in ref for q in r[0]])
+            assert batch.proj[0, i] == pytest.approx(sum(r[1] for r in ref), rel=0, abs=1e-12)
+            assert np.allclose(batch.piece_tracks[0, i], [r[2] for r in ref], rtol=0, atol=1e-12)
+
+    @staticmethod
+    def assert_regions_partition(batch, i, p):
+        regions = [batch.params[0, i, p, j, :n] for j, n in enumerate(batch.counts[0, i, p]) if n]
+        if batch.k == 0:
+            assert len(regions) == 1
+        elif batch.k == 1:
+            bounds = sorted((r[0, 0], r[1, 0]) for r in regions)
+            assert bounds[0][0] == pytest.approx(0.0, abs=1e-9)
+            assert bounds[-1][1] == pytest.approx(1.0, abs=1e-9)
+            for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
+                assert lo == pytest.approx(hi, abs=1e-9)
+        else:
+            area = sum(deform._polygon_area(list(r)) for r in regions)
+            assert area == pytest.approx(0.5, abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(_KERNEL_CASES, st.integers(0, 2 ** 32 - 1))
     def test_exit_regions_partition_the_piece(self, case, seed):
-        # centers drawn as select_center draws them: a center in the
-        # hyperplane c_j b_i = c_i b_j through a piece (probability 0) puts
-        # the part of the piece there in the regions of both facets
+        # centers drawn as select_centers draws them
         cx, cell, _, pieces = case
         draws = np.random.default_rng(seed).dirichlet(np.ones(len(cell)), size=5)
-        batch = deform.project_pieces(cx, cell, draws @ cx.chart(cell).model, pieces)
-        k = batch.k
-        for i in np.flatnonzero(batch.clear & batch.exits):
+        batch = _lone(cx, cell, draws @ cx.chart(cell).model, pieces)
+        for i in np.flatnonzero(batch.clear[0] & batch.exits[0]):
             for p in range(len(pieces)):
-                regions = [batch.params[i, p, j, :n]
-                           for j, n in enumerate(batch.counts[i, p]) if n]
-                if k == 0:
-                    assert len(regions) == 1
-                elif k == 1:
-                    bounds = sorted((r[0, 0], r[1, 0]) for r in regions)
-                    assert bounds[0][0] == pytest.approx(0.0, abs=1e-9)
-                    assert bounds[-1][1] == pytest.approx(1.0, abs=1e-9)
-                    for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
-                        assert lo == pytest.approx(hi, abs=1e-9)
-                else:
-                    area = sum(deform._polygon_area(list(r)) for r in regions)
-                    assert area == pytest.approx(0.5, abs=1e-9)
+                self.assert_regions_partition(batch, i, p)
 
     @settings(max_examples=60, deadline=None)
     @given(_KERNEL_CASES)
     def test_images_lie_on_their_exit_facets(self, case):
         cx, cell, centers, pieces = case
-        batch = deform.project_pieces(cx, cell, centers, pieces)
-        for i in np.flatnonzero(batch.clear & batch.exits):
-            for piece in batch.image_pieces(i):
+        batch = _lone(cx, cell, centers, pieces)
+        for i in np.flatnonzero(batch.clear[0] & batch.exits[0]):
+            for piece in batch.image_pieces(0, i):
                 j = next(j for j, v in enumerate(cell) if v not in piece.host)
                 bary = cx.barycentric(cell, cx.convert_coords(piece.host, cell, piece.points))
                 assert np.abs(bary[:, j]).max() <= 1e-9
@@ -801,13 +1076,37 @@ class TestProjectPieces:
         cell = (0, 1, 2)
         centers = unit_square.to_chart(cell, np.array([[0.6, 0.3], [0.7, 0.2]]))
         piece = Piece(cell, centers[:1].copy())
-        batch = deform.project_pieces(unit_square, cell, centers, [piece])
-        assert batch.exits.tolist() == [False, True]
-        assert batch.clear.tolist() == [False, True]
+        batch = _lone(unit_square, cell, centers, [piece])
+        assert batch.exits.tolist() == [[False, True]]
+        assert batch.clear.tolist() == [[False, True]]
         with pytest.raises(FloatingPointError):
             project_piece(unit_square, cell, centers[0], piece)
         with pytest.raises(FloatingPointError):
             _ref_project_piece(unit_square, cell, centers[0], piece)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_tied_exit_regions_take_the_lower_facet(self, tetra, k):
+        # the center (2/7, 2/7, 1/7) has c_0 = c_2, and the segment from
+        # vertex 1 to (0, 1/3, 1/3) has b_0 = b_2 all along, so facets 0 and 2
+        # tie on a stretch whose images lie on their shared edge (1, 3).  The
+        # triangle adds the point (1/2, 1/10, 3/10) of the plane b_0 = b_2,
+        # which holds the center, so clearance rejects that candidate; its
+        # exit regions still partition the triangle
+        cell = (0, 1, 2, 3)
+        amb = np.array([[1.0, 0.0, 0.0], [0.0, 1 / 3, 1 / 3], [0.5, 0.1, 0.3]])[:k + 1]
+        piece = Piece(cell, tetra.to_chart(cell, amb))
+        x0 = tetra.to_chart(cell, np.array([[2 / 7, 2 / 7, 1 / 7]]))
+        batch = _lone(tetra, cell, x0, [piece])
+        assert (batch.clear[0, 0], batch.exits[0, 0]) == (k == 1, True)
+        self.assert_regions_partition(batch, 0, 0)
+        if k == 1:
+            # the stretch on edge (1, 3) is one piece, not two that cancel
+            pieces, proj, _ = project_piece(tetra, cell, x0[0], piece)
+            assert [normalize_host(tetra, p).host for p in pieces] == [(1, 3), (0, 2, 3)]
+            image = normalize_chain(tetra, PolyChain(k, pieces))
+            assert [p.host for p in image.pieces] == [(1, 3), (0, 2, 3)]
+            assert proj == pytest.approx(image.volume(), rel=1e-12)
+            assert proj == pytest.approx(2.1595695548730234, rel=1e-12)
 
 
 class _FixedDraws(np.random.Generator):
@@ -839,7 +1138,7 @@ class TestCenterRejections:
         # with the clearance test off, the candidate on the point piece
         # reaches the exit-ray verdict and fails it
         monkeypatch.setattr(deform, "_too_close",
-                            lambda x, pts, m: np.zeros(len(x), dtype=bool))
+                            lambda x, pts, m: np.zeros(x.shape[:-1], dtype=bool))
         cell = (0, 1, 2)
         piece = self._point_at_first_draw(unit_square, cell)
         info = select_center(unit_square, cell, [piece], c_target=1e9,
@@ -865,14 +1164,20 @@ class TestFFGolden:
     @pytest.mark.parametrize("case", _GOLDEN, ids=lambda c: f"seed{c['seed']}-c{c['c_target']}")
     def test_same_choices(self, torus8, monkeypatch, case):
         tries = []
-        select = deform.select_center
+        select = deform.select_centers
 
-        def recording(cx, cell, pieces, **kwargs):
-            info = select(cx, cell, pieces, **kwargs)
-            tries.append([list(cell), info.tries])
-            return info
+        def recording(cx, cells, *args, **kwargs):
+            # per-cell tries of the accepted centers, in cell order; a failed
+            # level has centers for the cells before the failing one
+            try:
+                infos, calls = select(cx, cells, *args, **kwargs)
+            except CenterSelectionError as err:
+                tries.extend([list(c), i.tries] for c, i in zip(cells, err.accepted))
+                raise
+            tries.extend([list(c), i.tries] for c, i in zip(cells, infos))
+            return infos, calls
 
-        monkeypatch.setattr(deform, "select_center", recording)
+        monkeypatch.setattr(deform, "select_centers", recording)
         chain, _ = random_loop_chain(torus8, seed=case["seed"],
                                      winding=tuple(case["winding"]))
         if "error" in case:
