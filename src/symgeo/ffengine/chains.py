@@ -8,8 +8,9 @@ threshold are pruned at construction.
 Pieces whose points have one shape (one host dimension) are handled as one
 stacked array: construction prunes with one stacked Gram determinant and
 rounds the cancellation keys in one call per shape, the volumes come from
-the same determinants, and normalize_chain tests every piece for a dead
-barycentric coordinate with one stacked product per host dimension.
+the same determinants, and normalize_chain and validate_chain test every
+piece's barycentric coordinates with one stacked product per host
+dimension.
 """
 
 from __future__ import annotations
@@ -148,16 +149,26 @@ def normalize_chain(cx: GeoComplex, chain: PolyChain) -> PolyChain:
 
 
 def validate_chain(cx: GeoComplex, chain: PolyChain, tol: float = _CONTAIN_TOL):
-    """Every piece must sit inside its host cell (barycentric check)."""
-    for piece in chain.pieces:
-        if not cx.has_cell(piece.host):
-            raise ValueError(f"host {piece.host} is not a cell of the complex")
-        bary = cx.barycentric(piece.host, piece.points)
-        if bary.min() < -tol or bary.max() > 1.0 + tol:
+    """Every piece must sit inside its host cell (barycentric check).
+
+    The pieces are checked in order, up to the first whose host is not a
+    cell, with one stacked barycentric product per host dimension.
+    """
+    pieces = chain.pieces
+    bad = next((i for i, p in enumerate(pieces) if not cx.has_cell(p.host)), len(pieces))
+
+    def bary_range(pts, group):
+        bary = barycentric(np.stack([cx.chart(p.host).bary_solver for p in group]), pts)
+        return zip(bary.min(axis=(1, 2)).tolist(), bary.max(axis=(1, 2)).tolist())
+
+    for piece, (lo, hi) in zip(pieces, _per_shape(bary_range, pieces[:bad])):
+        if lo < -tol or hi > 1.0 + tol:
             raise ValueError(
                 f"piece escapes host {piece.host}: barycentric range "
-                f"[{bary.min():.3e}, {bary.max():.3e}]"
+                f"[{lo:.3e}, {hi:.3e}]"
             )
+    if bad < len(pieces):
+        raise ValueError(f"host {pieces[bad].host} is not a cell of the complex")
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,7 @@ class GeoComplex:
             d: {c: i for i, c in enumerate(cs)} for d, cs in self.cells.items()
         }
         self._charts: dict[Cell, Chart] = {}
+        self._top_cofaces: dict[Cell, tuple[Cell, ...]] = {}
         self._min_volume: dict[int, float] = {}
         self._cofacets: dict[Cell, list[Cell]] = {}
         for d in range(self.dim, 0, -1):
@@ -121,21 +122,18 @@ class GeoComplex:
     def cofacets(self, cell: Cell) -> list[Cell]:
         return self._cofacets.get(cell, [])
 
-    def top_cofaces(self, cell: Cell) -> list[Cell]:
-        out = [cell] if self.cell_dim(cell) == self.dim else []
-        frontier = [cell]
-        seen = set()
-        while frontier:
-            cur = frontier.pop()
-            for cof in self.cofacets(cur):
-                if cof in seen:
-                    continue
-                seen.add(cof)
-                if self.cell_dim(cof) == self.dim:
-                    out.append(cof)
-                else:
-                    frontier.append(cof)
-        return sorted(set(out))
+    def top_cofaces(self, cell: Cell) -> tuple[Cell, ...]:
+        """Sorted top-dimensional cells containing the cell, found once per
+        cell from those of its cofacets."""
+        tops = self._top_cofaces.get(cell)
+        if tops is None:
+            if self.cell_dim(cell) == self.dim:
+                tops = (cell,)
+            else:
+                tops = tuple(sorted({top for cof in self.cofacets(cell)
+                                     for top in self.top_cofaces(cof)}))
+            self._top_cofaces[cell] = tops
+        return tops
 
     # -- geometry ----------------------------------------------------------
 

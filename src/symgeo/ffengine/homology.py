@@ -1,8 +1,16 @@
 """Brute-force mod-2 simplicial homology, used as the oracle for deformation
 tests: boundary matrices over GF(2), cycle tests, and homologous-chain tests
-by solving linear systems, all on one incremental GF(2) row basis."""
+by solving linear systems, all on one incremental GF(2) row basis.
+
+The image of a boundary map depends only on the complex, so
+boundary_image builds it once per complex and keeps it until the complex
+is freed.  Cycle tests and cell vectors cost work proportional to the
+vector's support, not to the complex.
+"""
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -11,10 +19,9 @@ from .complexes import GeoComplex
 
 def boundary_matrix(cx: GeoComplex, d: int) -> np.ndarray:
     """GF(2) matrix of the boundary map C_d -> C_{d-1}."""
-    rows = cx.cells_of_dim(d - 1)
+    row_index = cx._cell_index.get(d - 1, {})
     cols = cx.cells_of_dim(d)
-    row_index = {c: i for i, c in enumerate(rows)}
-    mat = np.zeros((len(rows), len(cols)), dtype=np.uint8)
+    mat = np.zeros((len(row_index), len(cols)), dtype=np.uint8)
     for j, cell in enumerate(cols):
         for i in range(len(cell)):
             facet = cell[:i] + cell[i + 1:]
@@ -42,9 +49,18 @@ def betti(cx: GeoComplex, d: int) -> int:
 
 
 def is_cycle(cx: GeoComplex, d: int, vec: np.ndarray) -> bool:
+    """Has the GF(2) d-chain vec zero boundary?  Only the facets of the
+    vector's support cells are visited."""
     if d == 0:
         return True
-    return not np.any(boundary_matrix(cx, d) @ (vec % 2) % 2)
+    cells = cx.cells_of_dim(d)
+    if len(vec) != len(cells):
+        raise ValueError(f"vector has {len(vec)} entries for {len(cells)} {d}-cells")
+    boundary: set = set()
+    for j in np.flatnonzero(np.asarray(vec) % 2):
+        cell = cells[j]
+        boundary ^= {cell[:i] + cell[i + 1:] for i in range(d + 1)}
+    return not boundary
 
 
 def homologous(cx: GeoComplex, d: int, vec1: np.ndarray, vec2: np.ndarray) -> bool:
@@ -56,7 +72,7 @@ def homologous(cx: GeoComplex, d: int, vec1: np.ndarray, vec2: np.ndarray) -> bo
 
 
 def cell_vector(cx: GeoComplex, d: int, cells) -> np.ndarray:
-    index = {c: i for i, c in enumerate(cx.cells_of_dim(d))}
+    index = cx._cell_index.get(d, {})
     vec = np.zeros(len(index), dtype=np.uint8)
     for cell in cells:
         vec[index[tuple(sorted(cell))]] ^= 1
@@ -99,3 +115,16 @@ class BoundaryImage:
 
     def bounds(self, vec: np.ndarray) -> bool:
         return self.space.contains(vec)
+
+
+#: complex -> {d: BoundaryImage}; an entry goes when its complex is freed
+_IMAGES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def boundary_image(cx: GeoComplex, d: int) -> BoundaryImage:
+    """The BoundaryImage of C_d -> C_{d-1}, built once per complex and d; it
+    is dropped when the complex is."""
+    images = _IMAGES.setdefault(cx, {})
+    if d not in images:
+        images[d] = BoundaryImage(cx, d)
+    return images[d]

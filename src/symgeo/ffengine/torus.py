@@ -5,6 +5,13 @@ triangle is flat, so all charts are exact isometries.  Each 2-cell remembers
 an unwrapped parameter triangle in the [0, n)^2 picture; loops are generated
 there, split along the triangulation lines, and their mod-2 intersection
 parities with two fixed transversal circle families classify homology.
+
+A loop's pieces are charted together: every piece's triangle is located at
+once, one stacked inverse and one stacked product give the barycentric
+coordinates of all piece endpoints, and one stacked product maps them
+through their cells' models.  The crossing parities likewise convert the
+pieces of each host dimension to parameter coordinates in one stacked
+product.
 """
 
 from __future__ import annotations
@@ -13,8 +20,8 @@ import math
 
 import numpy as np
 
-from .chains import Piece, PolyChain, normalize_chain
-from .complexes import GeoComplex
+from .chains import Piece, PolyChain, _per_shape, normalize_chain
+from .complexes import GeoComplex, barycentric
 
 #: offsets of the two transversal test-circle families, chosen to miss all
 #: vertices and edges of the grid
@@ -52,30 +59,17 @@ def flat_torus_complex(n: int = 8, radius: float = 1.0) -> GeoComplex:
     return GeoComplex(vertices, tris, metadata={"torus_n": n, "param": param})
 
 
-def _param_triangle(cx: GeoComplex, cell) -> np.ndarray:
-    return cx.metadata["param"][cell]
-
-
-def _locate_triangle(cx: GeoComplex, x: float, y: float):
-    n = cx.metadata["torus_n"]
-    i, j = math.floor(x), math.floor(y)
-    u, v = x - i, y - j
-    if v <= u:
-        corners = [(i, j), (i + 1, j), (i + 1, j + 1)]
-    else:
-        corners = [(i, j), (i, j + 1), (i + 1, j + 1)]
-    ids = [((a % n) * n + (b % n)) for a, b in corners]
-    order = np.argsort(ids)
-    cell = tuple(int(ids[o]) for o in order)
-    corner_arr = np.array([corners[o] for o in order], dtype=float)
-    return cell, corner_arr
-
-
-def _param_barycentric(tri: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    stacked = np.hstack([np.ones((3, 1)), tri])
-    solver = np.linalg.inv(stacked)
-    lifted = np.hstack([np.ones((pts.shape[0], 1)), pts])
-    return lifted @ solver
+def _locate_triangles(n: int, pts: np.ndarray):
+    """Cells of the n x n torus holding the parameter points (M, 2), and
+    their unwrapped parameter triangles (M, 3, 2), corners in cell order."""
+    ij = np.floor(pts).astype(np.int64)
+    u, v = (pts - ij).T
+    upper = (v > u)[:, None]
+    corners = np.stack([ij, ij + np.where(upper, (0, 1), (1, 0)), ij + 1], axis=1)
+    ids = (corners[..., 0] % n) * n + corners[..., 1] % n
+    order = np.argsort(ids, axis=1)
+    cells = [tuple(c) for c in np.take_along_axis(ids, order, axis=1).tolist()]
+    return cells, np.take_along_axis(corners, order[..., None], axis=1).astype(float)
 
 
 def _split_segment(a: np.ndarray, b: np.ndarray):
@@ -114,24 +108,24 @@ def random_loop_chain(cx: GeoComplex, seed: int, n_waypoints: int = 6,
         waypoints.append(waypoints[-1] + rng.uniform(-2.0, 2.0, size=2))
     waypoints.append(start + np.array([n * winding[0], n * winding[1]], dtype=float))
 
-    pieces = []
-    for a, b in zip(waypoints, waypoints[1:]):
-        for p, q in _split_segment(a, b):
-            mid = (p + q) / 2.0
-            cell, tri = _locate_triangle(cx, mid[0], mid[1])
-            bary = _param_barycentric(tri, np.vstack([p, q]))
-            coords = bary @ cx.chart(cell).model
-            pieces.append(Piece(cell, coords))
-    chain = normalize_chain(cx, PolyChain(1, pieces))
+    ends = np.array([[p, q] for a, b in zip(waypoints, waypoints[1:])
+                     for p, q in _split_segment(a, b)]).reshape(-1, 2, 2)
+    cells, tris = _locate_triangles(n, (ends[:, 0] + ends[:, 1]) / 2.0)
+    # b solves b @ [[1, tri_i]] = [1, p], as a chart's bary_solver does
+    bary = barycentric(np.linalg.inv(np.insert(tris, 0, 1.0, axis=2)), ends)
+    coords = bary @ np.array([cx.chart(cell).model for cell in cells]).reshape(tris.shape)
+    chain = normalize_chain(cx, PolyChain(1, map(Piece, cells, coords)))
     return chain, winding
 
 
-def _crossing_parity(lo: float, hi: float, offset: float, period: int) -> int:
-    first = math.ceil((lo - offset) / period)
-    last = math.floor((hi - offset) / period)
-    if offset + first * period == lo or offset + last * period == hi:
+def _crossing_parity(lo: np.ndarray, hi: np.ndarray, offset: float, period: int) -> int:
+    """Parity of the number of crossings of the intervals [lo, hi] with the
+    points offset + period Z."""
+    first = np.ceil((lo - offset) / period)
+    last = np.floor((hi - offset) / period)
+    if np.any((offset + first * period == lo) | (offset + last * period == hi)):
         raise ValueError("segment endpoint lies on a test circle")
-    return max(0, last - first + 1) % 2
+    return int(np.maximum(0, last - first + 1).sum()) % 2
 
 
 def crossing_parities(cx: GeoComplex, chain: PolyChain) -> tuple[int, int]:
@@ -139,24 +133,29 @@ def crossing_parities(cx: GeoComplex, chain: PolyChain) -> tuple[int, int]:
 
     The first parity counts crossings with the vertical circles x = x0 + nZ
     (the winding in the x-direction), the second with the horizontal ones.
+    A piece is read in the parameter triangle of its host's first top cell.
     """
     n = cx.metadata["torus_n"]
-    a = b = 0
-    for piece in chain.pieces:
-        host = piece.host
-        if len(host) - 1 < 2:
-            host = cx.top_cofaces(host)[0]
-        tri_param = _param_triangle(cx, host)
-        coords = cx.convert_coords(piece.host, host, piece.points)
-        bary = cx.barycentric(host, coords)
-        pts = bary @ tri_param
-        x_lo, x_hi = sorted((pts[0, 0], pts[1, 0]))
-        y_lo, y_hi = sorted((pts[0, 1], pts[1, 1]))
-        if x_hi - x_lo > 1e-12:
-            a ^= _crossing_parity(x_lo, x_hi, _TEST_X, n)
-        if y_hi - y_lo > 1e-12:
-            b ^= _crossing_parity(y_lo, y_hi, _TEST_Y, n)
-    return a, b
+    param = cx.metadata["param"]
+
+    def param_points(pts, group):
+        tops = [cx.top_cofaces(p.host)[0] for p in group]
+        src = [cx.chart(p.host) for p in group]
+        dst = [cx.chart(top) for top in tops]
+        ambient = (np.stack([c.origin for c in src])[:, None]
+                   + pts @ np.stack([c.basis.T for c in src]))
+        coords = (ambient - np.stack([c.origin for c in dst])[:, None]) @ np.stack(
+            [c.basis for c in dst])
+        bary = barycentric(np.stack([c.bary_solver for c in dst]), coords)
+        return bary @ np.stack([param[top] for top in tops])
+
+    pts = np.array(_per_shape(param_points, chain.pieces)).reshape(-1, 2, 2)
+    lo, hi = pts.min(axis=1), pts.max(axis=1)
+    moves = hi - lo > 1e-12
+    return tuple(
+        _crossing_parity(lo[moves[:, i], i], hi[moves[:, i], i], offset, n)
+        for i, offset in enumerate((_TEST_X, _TEST_Y))
+    )
 
 
 def representative_edge_cycle(cx: GeoComplex, winding: tuple[int, int]) -> list:

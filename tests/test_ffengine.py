@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,7 @@ from symgeo.ffengine import (
     whole_edges_of,
 )
 from symgeo.ffengine import deform, homology
+from symgeo.ffengine import torus as torus_mod
 from symgeo.ffengine.chains import DEGENERATE_GRAM, normalize_host, piece_volume
 from symgeo.ffengine.complexes import simplex_gram_det, simplex_volume
 from symgeo.ffengine.deform import project_piece
@@ -1191,3 +1194,254 @@ class TestFFGolden:
         assert [list(c) for c in result.whole_cells] == case["whole_cells"]
         assert result.total_track == pytest.approx(case["total_track"], rel=1e-9, abs=0)
         assert result.max_cell_ratio == pytest.approx(case["max_cell_ratio"], rel=1e-9, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# certification in work proportional to the chain, against the forms it
+# replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_random_loop_chain(cx, seed, n_waypoints=6, winding=None):
+    """Oracle: the piece-at-a-time loop builder (one triangle lookup, one
+    3x3 inverse and two products per piece)."""
+    n = cx.metadata["torus_n"]
+    rng = np.random.default_rng(seed)
+    if winding is None:
+        winding = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
+    start = rng.uniform(0.1, n - 0.1, size=2)
+    waypoints = [start]
+    for _ in range(n_waypoints - 1):
+        waypoints.append(waypoints[-1] + rng.uniform(-2.0, 2.0, size=2))
+    waypoints.append(start + np.array([n * winding[0], n * winding[1]], dtype=float))
+    pieces = []
+    for a, b in zip(waypoints, waypoints[1:]):
+        for p, q in torus_mod._split_segment(a, b):
+            mid = (p + q) / 2.0
+            i, j = math.floor(mid[0]), math.floor(mid[1])
+            if mid[1] - j <= mid[0] - i:
+                corners = [(i, j), (i + 1, j), (i + 1, j + 1)]
+            else:
+                corners = [(i, j), (i, j + 1), (i + 1, j + 1)]
+            ids = [((c % n) * n + (d % n)) for c, d in corners]
+            order = np.argsort(ids)
+            cell = tuple(int(ids[o]) for o in order)
+            tri = np.array([corners[o] for o in order], dtype=float)
+            solver = np.linalg.inv(np.hstack([np.ones((3, 1)), tri]))
+            bary = np.hstack([np.ones((2, 1)), np.vstack([p, q])]) @ solver
+            pieces.append(Piece(cell, bary @ cx.chart(cell).model))
+    return normalize_chain(cx, PolyChain(1, pieces)), winding
+
+
+def _ref_top_cofaces(cx, cell):
+    """Oracle: an uncached search up the cofacets."""
+    out = [cell] if len(cell) - 1 == cx.dim else []
+    frontier, seen = [cell], set()
+    while frontier:
+        for cof in cx.cofacets(frontier.pop()):
+            if cof not in seen:
+                seen.add(cof)
+                (out if len(cof) - 1 == cx.dim else frontier).append(cof)
+    return sorted(set(out))
+
+
+def _ref_vanishing_check(cx, chain, result):
+    """Oracle: the star_mass form, one top-coface search per piece per kept
+    cell."""
+    eta = vanishing_threshold(cx, result.final.k, max(result.max_cell_ratio, 1.0))
+    worst = float("inf")
+    for cell in result.whole_cells:
+        tops = set(_ref_top_cofaces(cx, cell))
+        total = 0.0
+        for piece in chain.pieces:
+            if tops & set(_ref_top_cofaces(cx, piece.host)):
+                total += piece_volume(piece)
+        worst = min(worst, total - eta)
+    return worst
+
+
+def _ref_crossing_parities(cx, chain):
+    """Oracle: one chart conversion and one barycentric product per piece."""
+    n = cx.metadata["torus_n"]
+
+    def parity(lo, hi, offset):
+        first = math.ceil((lo - offset) / n)
+        last = math.floor((hi - offset) / n)
+        if offset + first * n == lo or offset + last * n == hi:
+            raise ValueError("segment endpoint lies on a test circle")
+        return max(0, last - first + 1) % 2
+
+    a = b = 0
+    for piece in chain.pieces:
+        host = piece.host if len(piece.host) == 3 else _ref_top_cofaces(cx, piece.host)[0]
+        coords = cx.convert_coords(piece.host, host, piece.points)
+        pts = cx.barycentric(host, coords) @ cx.metadata["param"][host]
+        x_lo, x_hi = sorted((pts[0, 0], pts[1, 0]))
+        y_lo, y_hi = sorted((pts[0, 1], pts[1, 1]))
+        if x_hi - x_lo > 1e-12:
+            a ^= parity(x_lo, x_hi, torus_mod._TEST_X)
+        if y_hi - y_lo > 1e-12:
+            b ^= parity(y_lo, y_hi, torus_mod._TEST_Y)
+    return a, b
+
+
+def _ref_validate_chain(cx, chain, tol=1e-9):
+    """Oracle: one barycentric product per piece, in piece order."""
+    for piece in chain.pieces:
+        if not cx.has_cell(piece.host):
+            raise ValueError(f"host {piece.host} is not a cell of the complex")
+        bary = cx.barycentric(piece.host, piece.points)
+        if bary.min() < -tol or bary.max() > 1.0 + tol:
+            raise ValueError(
+                f"piece escapes host {piece.host}: barycentric range "
+                f"[{bary.min():.3e}, {bary.max():.3e}]"
+            )
+
+
+def _error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _ref_is_cycle(cx, d, vec):
+    """Oracle: the whole boundary matrix times the vector."""
+    return d == 0 or not np.any(homology.boundary_matrix(cx, d) @ (vec % 2) % 2)
+
+
+def _ref_cell_vector(cx, d, cells):
+    index = {c: i for i, c in enumerate(cx.cells_of_dim(d))}
+    vec = np.zeros(len(index), dtype=np.uint8)
+    for cell in cells:
+        vec[index[tuple(sorted(cell))]] ^= 1
+    return vec
+
+
+_CYCLE_COMPLEXES = {"torus8": flat_torus_complex(8), "tetra": _TETRA}
+
+
+@st.composite
+def _gf2_chains(draw):
+    """A complex, a dimension and a GF(2) vector on its cells: random, or the
+    boundary of a random vector one dimension up (always a cycle)."""
+    name = draw(st.sampled_from(sorted(_CYCLE_COMPLEXES)))
+    cx = _CYCLE_COMPLEXES[name]
+    d = draw(st.sampled_from([1, 2] if name == "torus8" else [0, 1, 2, 3]))
+    up = len(cx.cells_of_dim(d + 1))
+    if up and draw(st.booleans()):
+        coeffs = np.array(draw(st.lists(st.integers(0, 1), min_size=up, max_size=up)))
+        return cx, d, (homology.boundary_matrix(cx, d + 1) @ coeffs % 2).astype(np.uint8)
+    size = len(cx.cells_of_dim(d))
+    support = draw(st.lists(st.integers(0, size - 1), max_size=8))
+    vec = np.zeros(size, dtype=np.uint8)
+    for j in support:
+        vec[j] ^= 1
+    return cx, d, vec
+
+
+class TestChainSizedCertification:
+    """The suite's certification helpers, each against the form it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.none() | st.tuples(st.integers(0, 1), st.integers(0, 1)),
+           st.integers(2, 8))
+    def test_loop_builder_bit_identical(self, seed, winding, n_waypoints):
+        cx = _CYCLE_COMPLEXES["torus8"]
+        got, got_w = random_loop_chain(cx, seed=seed, n_waypoints=n_waypoints, winding=winding)
+        want, want_w = _ref_random_loop_chain(cx, seed, n_waypoints, winding)
+        assert got_w == want_w
+        assert [p.host for p in got.pieces] == [p.host for p in want.pieces]
+        assert all(a.points.tobytes() == b.points.tobytes()
+                   for a, b in zip(got.pieces, want.pieces))
+
+    def test_boundary_image_built_once_per_complex(self, monkeypatch):
+        from symgeo.ffengine import run_deformation_suite
+
+        builds = []
+        init = homology.BoundaryImage.__init__
+
+        def counting_init(self, cx, d):
+            builds.append((cx, d))
+            init(self, cx, d)
+
+        monkeypatch.setattr(homology.BoundaryImage, "__init__", counting_init)
+        cx = flat_torus_complex(8)
+        for seed in range(20):
+            assert run_deformation_suite(cx, n_chains=1, seed=seed)["pass"]
+        assert builds == [(cx, 2)]
+        other = flat_torus_complex(8)
+        assert homology.boundary_image(other, 2) is not homology.boundary_image(cx, 2)
+        assert len(builds) == 2
+        builds.clear()
+        held = len(homology._IMAGES)
+        ref = weakref.ref(cx)
+        del cx
+        gc.collect()
+        assert ref() is None
+        assert len(homology._IMAGES) == held - 1
+
+    @pytest.mark.parametrize("name", sorted(_CYCLE_COMPLEXES))
+    def test_top_cofaces_match_search(self, name):
+        src = _CYCLE_COMPLEXES[name]
+        cx = GeoComplex(src.vertices, src.cells_of_dim(src.dim))  # nothing cached yet
+        for cells in cx.cells.values():
+            for cell in cells:
+                tops = cx.top_cofaces(cell)
+                assert isinstance(tops, tuple)
+                assert list(tops) == _ref_top_cofaces(cx, cell)
+                assert cx.top_cofaces(cell) is tops
+
+    def test_vanishing_check_equals_star_mass(self, torus8):
+        from symgeo.ffengine.suite import vanishing_check
+
+        for seed in range(30):
+            chain, _ = random_loop_chain(torus8, seed=seed)
+            result = ff_deform(torus8, chain, seed=seed)
+            assert vanishing_check(torus8, chain, result) == _ref_vanishing_check(
+                torus8, chain, result)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_gf2_chains())
+    def test_is_cycle_equals_matrix_form(self, case):
+        cx, d, vec = case
+        assert homology.is_cycle(cx, d, vec) == _ref_is_cycle(cx, d, vec)
+        cells = [cx.cells_of_dim(d)[j] for j in np.flatnonzero(vec)]
+        assert np.array_equal(homology.cell_vector(cx, d, cells + cells[:1]),
+                              _ref_cell_vector(cx, d, cells + cells[:1]))
+
+    def test_stacked_helpers_equal_piece_at_a_time(self, torus8):
+        for seed in range(50):
+            loop, _ = random_loop_chain(torus8, seed=seed)
+            final = ff_deform(torus8, loop, seed=seed).final
+            for chain in (loop, final):
+                assert crossing_parities(torus8, chain) == _ref_crossing_parities(torus8, chain)
+                assert (_error(validate_chain, torus8, chain)
+                        == _error(_ref_validate_chain, torus8, chain) is None)
+
+    def test_validate_chain_reports_the_first_failing_piece(self, unit_square):
+        inside = Piece((0, 1, 2), np.array([[0.2, 0.1], [0.7, 0.2]]))
+        escapes = Piece((0, 1, 2), np.array([[0.0, 0.0], [2.0, 0.0]]))
+        edge = Piece((0, 1), np.array([[0.1], [0.4]]))
+        no_cell = Piece((1, 3), np.array([[0.1], [0.4]]))
+        for pieces in ([inside, escapes, no_cell], [edge, no_cell, escapes],
+                       [escapes, edge], [inside, edge]):
+            chain = PolyChain(1, pieces)
+            assert (_error(validate_chain, unit_square, chain)
+                    == _error(_ref_validate_chain, unit_square, chain))
+        assert "escapes" in _error(validate_chain, unit_square, PolyChain(1, [escapes, no_cell]))
+
+    def test_endpoint_on_a_test_circle_raises(self):
+        x = np.array([torus_mod._TEST_X, 0.1])
+        with pytest.raises(ValueError, match="endpoint lies on a test circle"):
+            torus_mod._crossing_parity(x, x + 1.0, torus_mod._TEST_X, 8)
+        with pytest.raises(ValueError, match="endpoint lies on a test circle"):
+            torus_mod._crossing_parity(x - 1.0, x, torus_mod._TEST_X, 8)
+        # one crossing in [0, 0.5], none in [0.6, 1.1] or [-20, -19.5]
+        lo = np.array([0.0, 0.6, -20.0])
+        assert torus_mod._crossing_parity(lo, lo + 0.5, torus_mod._TEST_X, 8) == 1
+
+    def test_is_cycle_rejects_a_vector_of_the_wrong_length(self, torus8):
+        with pytest.raises(ValueError, match="192 1-cells"):
+            homology.is_cycle(torus8, 1, np.zeros(191, dtype=np.uint8))
