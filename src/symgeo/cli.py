@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -39,22 +40,15 @@ def _require(ok: bool, message: str):
         raise UsageError(message)
 
 
-def _emit(payload, fmt: str, out):
-    if fmt == "json":
-        out.write(json.dumps(payload, indent=2, sort_keys=True))
-        out.write("\n")
-    elif fmt == "csv":
-        out.write(payload if isinstance(payload, str) else json.dumps(payload))
-        out.write("" if isinstance(payload, str) and payload.endswith("\n") else "\n")
-    else:  # table view, derived from the JSON payload, never parsed back
-        out.write(_tableize(payload))
+def _emit(payload, out):
+    # strict JSON: a NaN or an infinity raises instead of printing a bare token
+    out.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+    out.write("\n")
 
 
-def _tableize(payload) -> str:
-    if isinstance(payload, dict):
-        rows = payload.get("rows", [payload])
-    else:
-        rows = payload
+def _tableize(rows: list[dict]) -> str:
+    """Table view of a list of flat rows, derived from the JSON payload and
+    never parsed back."""
     if not rows:
         return "(empty)\n"
     keys = list(rows[0].keys())
@@ -122,7 +116,7 @@ def cmd_tables(args) -> int:
                         f"{tag},{row['family']},{row['n']},{row['k_or_d']},"
                         f"{row['value']},{row['provenance']}\n"
                     )
-            _emit("".join(body), "csv", out)
+            out.write("".join(body))
         else:
             payload = {"multiplicities": mult, "kappa": kap, "cx": cxs}
             if args.format == "table":
@@ -133,7 +127,7 @@ def cmd_tables(args) -> int:
                 out.write("# cx\n")
                 out.write(_tableize(cxs))
             else:
-                _emit(payload, "json", out)
+                _emit(payload, out)
     return EXIT_OK
 
 
@@ -177,7 +171,7 @@ def cmd_rx(args) -> int:
             out.write(f"r({target}) = {value}   closed-form bound: {closed_form}\n")
             out.write(_tableize(payload["tau_profile"]))
         else:
-            _emit(payload, "json", out)
+            _emit(payload, out)
     return EXIT_OK
 
 
@@ -193,14 +187,14 @@ def _suite_hessian(args) -> list[dict]:
     _require(args.n in sizes, f"--n must lie in [{sizes[0]}, {sizes[-1]}], got {args.n}")
     lo, hi = modelcheck.STEP_RANGE
     _require(lo <= args.h <= hi, f"--h must lie in [{lo:g}, {hi:g}], got {args.h:g}")
+    _require(0 < args.tol < math.inf, f"--tol must be positive and finite, got {args.tol:g}")
     reports = []
     for n in range(2, args.n + 1):
         rd = build_sln(n, "Killing")
         for exp in (False, True):
-            report = modelcheck.verify_iwasawa_spectrum(
+            reports.append(modelcheck.verify_iwasawa_spectrum(
                 n, rho(rd), h=args.h, tol=args.tol, exp=exp
-            )
-            reports.append(report.to_json_dict())
+            ))
     return reports
 
 
@@ -208,6 +202,7 @@ def _suite_spherical(args) -> list[dict]:
     import numpy as np
 
     from . import spherical
+    from .report import check_report
 
     # a standard error needs two samples
     _require(args.samples >= 2, f"--samples must be at least 2, got {args.samples}")
@@ -218,38 +213,29 @@ def _suite_spherical(args) -> list[dict]:
         H = np.linspace(1.0, -1.0, n)
         H -= H.mean()
         est = spherical.phi_lambda(n, Fraction(-1) * rho(rd), H, N, args.seed + n)
-        reports.append(
-            {
-                "check": "phi_minus_rho_is_one",
-                "params": {"n": n, "H": H.tolist(), "N": N},
-                "max_abs_err": abs(est.value - 1.0),
-                "pass": abs(est.value - 1.0) <= 4 * est.stderr,
-                "detail": est.to_json_dict(),
-            }
-        )
-        reports.append(
-            spherical.phi_zero_bound_check(n, H, N, args.seed + 10 + n).to_json_dict()
-        )
+        err = abs(est.value - 1.0)
+        reports.append(check_report("phi_minus_rho_is_one", {"n": n, "H": H.tolist(), "N": N},
+                                    err, err <= 4 * est.stderr, est.to_json_dict()))
+        reports.append(spherical.phi_zero_bound_check(n, H, N, args.seed + 10 + n))
     return reports
 
 
 def _suite_monotonicity(args) -> list[dict]:
     from . import modelcheck
+    from .report import check_report
 
     rd = build_rank_one("HnR", 4)
     reports = []
     for k in (2, 3):
         profile = modelcheck.monotonicity_profile(rd, k, range(9))
         margins = modelcheck.monotonicity_margins(profile, float(k - 1))
-        reports.append(
-            {
-                "check": f"mass_profile_k{k}",
-                "params": {"k": k, "n": 4, "grid": list(range(9))},
-                "max_abs_err": float(max(0.0, -min(margins))),
-                "pass": min(margins) >= 0.0,
-                "detail": {"profile": [[r, v] for r, v in profile]},
-            }
-        )
+        reports.append(check_report(
+            f"mass_profile_k{k}",
+            {"k": k, "n": 4, "grid": list(range(9))},
+            max(0.0, -min(margins)),
+            min(margins) >= 0.0,
+            {"profile": [[r, v] for r, v in profile]},
+        ))
     return reports
 
 
@@ -270,15 +256,13 @@ def _suite_ff(args) -> list[dict]:
             raise UsageError(f"cannot read --mesh {args.mesh}: {exc.strerror}") from None
         try:
             cx = GeoComplex.from_json(text)
-            for cells in cx.cells.values():
-                for cell in cells:
-                    cx.chart(cell)  # rejects a degenerate cell
+            # charts every cell: rejects an empty complex and a degenerate cell
+            reports = [check_uniform(cx, r=1.2, delta=0.2)]
         except (ValueError, TypeError) as exc:
             raise UsageError(f"malformed --mesh {args.mesh}: {exc}") from None
     else:
         cx = flat_torus_complex(8)
-    report = check_uniform(cx, r=1.2, delta=0.2)
-    reports = [report.to_json_dict() | {"check": "uniformity"}]
+        reports = [check_uniform(cx, r=1.2, delta=0.2)]
     if "torus_n" in cx.metadata:
         reports.append(run_deformation_suite(cx, n_chains=args.chains, seed=args.seed))
     return reports
@@ -293,10 +277,14 @@ def cmd_verify(args) -> int:
     }
     _require(args.seed >= 0, f"--seed must be nonnegative, got {args.seed}")
     reports = suites[args.suite](args)
-    ok = all(r.get("pass", False) for r in reports)
+    ok = all(r["pass"] for r in reports)
     payload = {"suite": args.suite, "pass": ok, "checks": reports}
     with _open_out(args.out) as out:
-        _emit(payload, "json" if args.format != "table" else "table", out)
+        if args.format == "table":
+            out.write(_tableize([{k: r[k] for k in ("check", "pass", "max_abs_err")}
+                                 for r in payload["checks"]]))
+        else:
+            _emit(payload, out)
     return EXIT_OK if ok else EXIT_FAIL
 
 

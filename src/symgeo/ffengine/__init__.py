@@ -10,7 +10,7 @@ from .chains import (
     normalize_chain,
     validate_chain,
 )
-from .complexes import Chart, GeoComplex, UniformityReport, check_uniform
+from .complexes import Chart, GeoComplex, check_uniform
 from .deform import (
     CenterSelectionError,
     FFResult,
@@ -37,7 +37,6 @@ __all__ = [
     "GeoComplex",
     "Piece",
     "PolyChain",
-    "UniformityReport",
     "boundary_keys",
     "chain_from_json_dict",
     "chain_to_json_dict",

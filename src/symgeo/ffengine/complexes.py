@@ -4,7 +4,9 @@ Cells are sorted vertex tuples, face-closed from the top cells.  Every cell
 carries an affine chart into R^dim built from an orthonormal basis of its
 affine hull, so for complexes whose simplices are flat in the ambient space
 the charts are exact isometries and chart distortion is measurable via
-singular values.
+singular values.  ``check_uniform`` checks diameters, distortions and
+volumes against a uniformity scale and returns a plain check report
+(``symgeo.report``).
 """
 
 from __future__ import annotations
@@ -12,10 +14,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from ..report import check_report
 
 Cell = tuple[int, ...]
 
@@ -198,10 +202,10 @@ class GeoComplex:
         """max(s_max, 1/s_min) of the ambient-to-chart map on the cell's hull."""
         if len(cell) == 1:
             return 1.0
+        model = self.chart(cell).model  # rejects a degenerate cell
         pts = self.vertices[list(cell)]
         edges = (pts[1:] - pts[0]).T
         _, r = np.linalg.qr(edges)  # hull coordinates of the ambient edges
-        model = self.chart(cell).model
         chart_edges = (model[1:] - model[0]).T
         restricted = chart_edges @ np.linalg.inv(r)
         sv = np.linalg.svd(restricted, compute_uv=False)
@@ -253,61 +257,42 @@ class GeoComplex:
 
 
 # ---------------------------------------------------------------------------
-# uniformity report
+# uniformity check
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UniformityReport:
-    r: float
-    delta: float
-    passed: bool
-    worst: dict
-    diameters: dict = field(repr=False)
-    distortions: dict = field(repr=False)
-    volumes: dict = field(repr=False)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "delta": self.delta,
-            "pass": self.passed,
-            "worst": {
-                name: {**info, "cell": list(info["cell"])}
-                for name, info in self.worst.items()
-            },
-        }
-
-
-def check_uniform(cx: GeoComplex, r: float, delta: float) -> UniformityReport:
+def check_uniform(cx: GeoComplex, r: float, delta: float) -> dict:
     """Checks the three uniformity conditions cell by cell.
 
     Diameter at most r, chart distortion at most 1 + delta, and cell volume
-    at least delta * r^dim; the report carries the worst offender of each.
+    at least delta * r^dim.  Returns the check report "uniformity": its
+    ``max_abs_err`` is the worst violation of the three conditions (0.0 when
+    all hold) and its detail the worst offender of each.  A complex with no
+    cells raises ValueError, as does a degenerate cell.
     """
-    diameters, distortions, volumes = {}, {}, {}
+    if not cx.cells:
+        raise ValueError("complex has no cells")
     worst = {
-        "diameter": {"cell": (), "value": -math.inf, "bound": r, "ok": True},
-        "distortion": {"cell": (), "value": -math.inf, "bound": 1.0 + delta, "ok": True},
-        "volume": {"cell": (), "margin": math.inf, "ok": True},
+        "diameter": {"value": -math.inf, "bound": r},
+        "distortion": {"value": -math.inf, "bound": 1.0 + delta},
+        "volume": {"margin": math.inf},
     }
     for d, cells in cx.cells.items():
         for cell in cells:
             diam = cx.cell_diameter(cell)
             dist = cx.chart_distortion(cell)
             vol = cx.cell_volume(cell)
-            diameters[cell] = diam
-            distortions[cell] = dist
-            volumes[cell] = vol
             if diam > worst["diameter"]["value"]:
-                worst["diameter"].update(cell=cell, value=diam, ok=diam <= r)
+                worst["diameter"].update(cell=list(cell), value=diam, ok=diam <= r)
             if dist > worst["distortion"]["value"]:
-                worst["distortion"].update(cell=cell, value=dist, ok=dist <= 1.0 + delta)
+                worst["distortion"].update(cell=list(cell), value=dist, ok=dist <= 1.0 + delta)
             margin = vol - delta * r ** d
             if margin < worst["volume"]["margin"]:
                 worst["volume"].update(
-                    cell=cell, margin=margin, value=vol, bound=delta * r ** d,
+                    cell=list(cell), margin=margin, value=vol, bound=delta * r ** d,
                     ok=margin >= 0,
                 )
-    passed = all(info["ok"] for info in worst.values())
-    return UniformityReport(r, delta, passed, worst, diameters, distortions, volumes)
+    violation = max(0.0, worst["diameter"]["value"] - r,
+                    worst["distortion"]["value"] - (1.0 + delta), -worst["volume"]["margin"])
+    return check_report("uniformity", {"r": r, "delta": delta}, violation,
+                        all(info["ok"] for info in worst.values()), {"worst": worst})

@@ -3,7 +3,7 @@
 Drives seeded random loops through the full collapse and accumulates the
 four certificates: skeleton containment, cycle preservation, homology-class
 preservation against the GF(2) oracle, and the empirical volume/track
-constant.
+constant.  The result is one plain check report (``symgeo.report``).
 
 Certifying a chain costs work proportional to the chain: the GF(2) image
 of the 2-boundaries is built once per complex (homology.boundary_image),
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..report import check_report
 from . import homology
 from .chains import PolyChain, piece_volumes, validate_chain
 from .deform import FFResult, ff_deform, remainder_decomposition, vanishing_threshold
@@ -54,11 +55,21 @@ def vanishing_check(cx: GeoComplex, chain: PolyChain, result: FFResult) -> float
 
 def run_deformation_suite(cx: GeoComplex, n_chains: int = 100, seed: int = 0,
                           c_target: float | None = None) -> dict:
-    """Deform seeded random loops and certify the engine's contracts."""
+    """Deform seeded random loops and certify the engine's contracts.
+
+    Returns the check report "deformation_suite".  Its ``max_abs_err`` is
+    the largest local-mass deficit of a kept cell over the chains (0.0 when
+    every kept cell clears the threshold); ``detail.n_failed`` counts the
+    chains that failed a certificate and ``detail.failures`` shows the first
+    five.  Raises ValueError when n_chains < 1, which would check nothing.
+    """
+    if n_chains < 1:
+        raise ValueError(f"n_chains must be at least 1, got {n_chains}")
     image = homology.boundary_image(cx, 2)
     seeds = np.random.SeedSequence(seed).generate_state(n_chains)
     ratios = []
     failures = []
+    deficit = 0.0
     for chain_seed in map(int, seeds):
         chain, winding = random_loop_chain(cx, seed=chain_seed)
         vol_in = chain.volume()
@@ -89,6 +100,7 @@ def run_deformation_suite(cx: GeoComplex, n_chains: int = 100, seed: int = 0,
             failures.append({"seed": chain_seed, "error": "remainder not exhaustive"})
             continue
         slack = vanishing_check(cx, chain, result)
+        deficit = max(deficit, -slack)
         if slack < 0:
             failures.append(
                 {"seed": chain_seed,
@@ -97,15 +109,16 @@ def run_deformation_suite(cx: GeoComplex, n_chains: int = 100, seed: int = 0,
             continue
         ratios.append(max(result.final.volume(), result.total_track) / vol_in)
     c_empirical = float(max(ratios)) if ratios else 0.0
-    return {
-        "check": "deformation_suite",
-        "params": {"n_chains": n_chains, "seed": seed},
-        "pass": not failures,
-        "max_abs_err": 0.0 if not failures else float(len(failures)),
-        "detail": {
+    return check_report(
+        "deformation_suite",
+        {"n_chains": n_chains, "seed": seed},
+        deficit,
+        not failures,
+        {
             "c_empirical": c_empirical,
             "mean_ratio": float(np.mean(ratios)) if ratios else 0.0,
             "eta_at_c": vanishing_threshold(cx, 1, max(c_empirical, 1.0)),
+            "n_failed": len(failures),
             "failures": failures[:5],
         },
-    }
+    )

@@ -30,12 +30,14 @@ _TEST_Y = 0.517635
 
 
 def flat_torus_complex(n: int = 8, radius: float = 1.0) -> GeoComplex:
-    """Triangulated n x n grid torus on the Clifford torus in R^4."""
+    """Triangulated n x n grid torus on the Clifford torus in R^4.
+
+    Each grid square holds a lower triangle (v <= u) and an upper one
+    (v >= u); both are located, with their parameter triangles, by the rule
+    the loop builder uses (``_locate_triangles``) at their centroids.
+    """
     if n < 3:
         raise ValueError("need n >= 3 for a simplicial grid torus")
-
-    def vid(i, j):
-        return (i % n) * n + (j % n)
 
     def embed(i, j):
         a, b = 2 * math.pi * i / n, 2 * math.pi * j / n
@@ -43,20 +45,16 @@ def flat_torus_complex(n: int = 8, radius: float = 1.0) -> GeoComplex:
                 radius * math.cos(b), radius * math.sin(b)]
 
     vertices = np.array([embed(i, j) for i in range(n) for j in range(n)])
-    tris = []
-    param = {}
-    for i in range(n):
-        for j in range(n):
-            for corners in (
-                [(i, j), (i + 1, j), (i + 1, j + 1)],   # lower: v <= u
-                [(i, j), (i, j + 1), (i + 1, j + 1)],   # upper: v >= u
-            ):
-                ids = [vid(a, b) for a, b in corners]
-                order = np.argsort(ids)
-                cell = tuple(int(ids[o]) for o in order)
-                tris.append(cell)
-                param[cell] = np.array([corners[o] for o in order], dtype=float)
-    return GeoComplex(vertices, tris, metadata={"torus_n": n, "param": param})
+    squares = np.stack(np.meshgrid(np.arange(n), np.arange(n), indexing="ij"), -1)
+    centroids = squares.reshape(-1, 1, 2) + np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
+    tris, corners = _locate_triangles(n, centroids.reshape(-1, 2))
+    return GeoComplex(vertices, tris,
+                      metadata={"torus_n": n, "param": dict(zip(tris, corners))})
+
+
+def _vertex_id(n: int, i, j):
+    """Vertex id of the grid point (i, j) of the n x n torus, wrapped."""
+    return (i % n) * n + j % n
 
 
 def _locate_triangles(n: int, pts: np.ndarray):
@@ -66,7 +64,7 @@ def _locate_triangles(n: int, pts: np.ndarray):
     u, v = (pts - ij).T
     upper = (v > u)[:, None]
     corners = np.stack([ij, ij + np.where(upper, (0, 1), (1, 0)), ij + 1], axis=1)
-    ids = (corners[..., 0] % n) * n + corners[..., 1] % n
+    ids = _vertex_id(n, corners[..., 0], corners[..., 1])
     order = np.argsort(ids, axis=1)
     cells = [tuple(c) for c in np.take_along_axis(ids, order, axis=1).tolist()]
     return cells, np.take_along_axis(corners, order[..., None], axis=1).astype(float)
@@ -161,15 +159,13 @@ def crossing_parities(cx: GeoComplex, chain: PolyChain) -> tuple[int, int]:
 def representative_edge_cycle(cx: GeoComplex, winding: tuple[int, int]) -> list:
     """Edge cells of a reference cycle in the class with the given winding."""
     n = cx.metadata["torus_n"]
-
-    def vid(i, j):
-        return (i % n) * n + (j % n)
-
     edges = []
     if winding[0]:
-        edges.extend(tuple(sorted((vid(i, 0), vid(i + 1, 0)))) for i in range(n))
+        edges.extend(tuple(sorted((_vertex_id(n, i, 0), _vertex_id(n, i + 1, 0))))
+                     for i in range(n))
     if winding[1]:
-        edges.extend(tuple(sorted((vid(0, j), vid(0, j + 1)))) for j in range(n))
+        edges.extend(tuple(sorted((_vertex_id(n, 0, j), _vertex_id(n, 0, j + 1))))
+                     for j in range(n))
     # overlapping edges would cancel mod 2, but the two loops share no edge
     return edges
 

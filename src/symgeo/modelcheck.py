@@ -10,7 +10,8 @@ orthogonal-triangular decomposition of the transpose with row/column
 reversal.  The polar coordinate a(g) is the vector of singular value
 logarithms.  Hessians are differenced along the geodesics t -> exp(tY) K,
 which are exact in the model, against an orthonormal frame of symmetric
-traceless matrices for the form <X, Y> = 2n tr(XY).
+traceless matrices for the form <X, Y> = 2n tr(XY); the comparison with the
+closed form is returned as a plain check report (``symgeo.report``).
 
 The hyperboloid model supplies horofunction values for the real hyperbolic
 family, and a one-dimensional quadrature reproduces the mass growth profile
@@ -20,12 +21,13 @@ of totally geodesic subspaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .hesspec import iwasawa_exp_spectrum, iwasawa_linear_spectrum
+from .report import check_report
 from .rootdata import Covector, RootDatum, build_sln
 
 DEFAULT_STEP = 1e-3
@@ -232,24 +234,6 @@ def exp_coordinate_function(xi: Covector) -> Callable[[np.ndarray], float]:
     return F
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    check: str
-    params: dict
-    max_abs_err: float
-    passed: bool
-    detail: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "params": self.params,
-            "max_abs_err": self.max_abs_err,
-            "pass": self.passed,
-            **({"detail": self.detail} if self.detail else {}),
-        }
-
-
 def spectrum_error(fd_eigs: np.ndarray, expected: Sequence[float]) -> float:
     """Scale-aware distance between sorted spectra."""
     exp_sorted = np.sort(np.array([float(v) for v in expected]))
@@ -269,11 +253,13 @@ def fd_model_hessian(n: int, xi: Covector, h: float = DEFAULT_STEP,
 
 
 def verify_iwasawa_spectrum(n: int, xi: Covector, h: float = DEFAULT_STEP,
-                            tol: float = 1e-3, exp: bool = False) -> VerifyReport:
+                            tol: float = 1e-3, exp: bool = False) -> dict:
     """Compare the FD Hessian of xi(H) or e^{xi(H)} with the closed form.
 
     Also checks the mixed flat/root block of the FD matrix, which the closed
-    form predicts to vanish identically.
+    form predicts to vanish identically.  Returns a check report
+    (``symgeo.report``) whose ``max_abs_err`` is the larger of the spectrum
+    error and the cross block's largest entry.
     """
     rd = build_sln(n, "Killing")
     xi_k = rd.covector(list(xi.coords))
@@ -289,14 +275,13 @@ def verify_iwasawa_spectrum(n: int, xi: Covector, h: float = DEFAULT_STEP,
         exp_sorted = np.sort([float(v) for v in closed.values()])
         idx = int(np.abs(fd_sorted - exp_sorted).argmax())
         worst = {"index": idx, "fd": float(fd_sorted[idx]), "expected": float(exp_sorted[idx])}
-    passed = bool(err <= tol and cross <= tol)
-    return VerifyReport(
-        check="iwasawa_exp_spectrum" if exp else "iwasawa_linear_spectrum",
-        params={"n": n, "xi": [str(c) for c in xi.coords], "h": h, "tol": tol},
-        max_abs_err=max(err, float(cross)),
-        passed=passed,
-        detail={"spectrum_err": err, "cross_block_max": float(cross),
-                **({"worst": worst} if worst else {})},
+    return check_report(
+        "iwasawa_exp_spectrum" if exp else "iwasawa_linear_spectrum",
+        {"n": n, "xi": [str(c) for c in xi.coords], "h": h, "tol": tol},
+        max(err, float(cross)),
+        err <= tol and cross <= tol,
+        {"spectrum_err": err, "cross_block_max": float(cross),
+         **({"worst": worst} if worst else {})},
     )
 
 

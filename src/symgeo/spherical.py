@@ -9,7 +9,8 @@ with k Haar-distributed in SO(n) and H the horospherical coordinate of the
 g = n e^H k factorization.  With that convention phi_{rho} is identically one
 with zero variance (the exponent vanishes) and phi_{-rho} is one by the Haar
 averaging identity, which pins down the sign of the exponent; the identity is
-exercised by the test suite.
+exercised by the test suite.  The decay-bound and log-convexity checks
+return plain check reports (``symgeo.report``).
 
 Estimators are deterministic functions of (seed, N): samples are drawn in
 fixed-size chunks from a PCG64 stream and reduced in order.  A chunk's Haar
@@ -28,7 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .modelcheck import VerifyReport, iwasawa_H_batch
+from .modelcheck import iwasawa_H_batch
+from .report import check_report
 from .rootdata import Covector, RootDatum, rho
 
 _CHUNK = 1 << 15
@@ -141,28 +143,34 @@ def reduced_root_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def phi_zero_bound_check(n: int, H: Sequence[float], N: int, seed: int) -> VerifyReport:
-    """Check phi_0(e^H) <= exp(-rho(a)) (1 + |a|)^d within Monte-Carlo noise."""
+def phi_zero_bound_check(n: int, H: Sequence[float], N: int, seed: int) -> dict:
+    """Check phi_0(e^H) <= exp(-rho(a)) (1 + |a|)^d within Monte-Carlo noise.
+
+    Returns a check report whose ``max_abs_err`` is the amount by which the
+    estimate exceeds the bound plus four standard errors (0.0 when it holds).
+    """
     H = np.asarray(H, dtype=float)
     est = phi_lambda(n, np.zeros(n), H, N, seed)
     a = np.sort(H)[::-1]
     bound = math.exp(-float(_rho_e(n) @ a)) * (1.0 + float(np.linalg.norm(a))) ** reduced_root_count(n)
     slack = bound + 4.0 * est.stderr - est.value
-    return VerifyReport(
-        check="phi_zero_bound",
-        params={"n": n, "H": H.tolist(), "N": N, "seed": seed},
-        max_abs_err=float(max(0.0, -slack)),
-        passed=slack >= 0.0,
-        detail={"estimate": est.to_json_dict(), "bound": bound},
+    return check_report(
+        "phi_zero_bound",
+        {"n": n, "H": H.tolist(), "N": N, "seed": seed},
+        max(0.0, -slack),
+        slack >= 0.0,
+        {"estimate": est.to_json_dict(), "bound": bound},
     )
 
 
 def logconvexity_check(n: int, H: Sequence[float], lam1, lam2,
-                       grid: Sequence[float], N: int, seed: int) -> VerifyReport:
+                       grid: Sequence[float], N: int, seed: int) -> dict:
     """Discrete convexity of s -> log phi_{(1-s) lam1 + s lam2}(e^H).
 
     Second differences on the grid must stay above -4 times the propagated
-    standard error of the log-estimates.
+    standard error of the log-estimates.  Returns a check report whose
+    ``max_abs_err`` is the largest shortfall below that margin (0.0 when
+    none falls short).
     """
     if len(grid) < 3:
         raise ValueError("need at least three grid points")
@@ -182,13 +190,13 @@ def logconvexity_check(n: int, H: Sequence[float], lam1, lam2,
         noise = math.sqrt(sigmas[i + 1] ** 2 + 4.0 * sigmas[i] ** 2 + sigmas[i - 1] ** 2)
         margins.append(d2 + 4.0 * noise)
     worst = min(margins)
-    return VerifyReport(
-        check="log_convexity",
-        params={"n": n, "H": list(map(float, H)), "N": N, "seed": seed,
-                "grid": list(map(float, grid))},
-        max_abs_err=float(max(0.0, -worst)),
-        passed=worst >= 0.0,
-        detail={"log_values": logs, "stderr_log": sigmas},
+    return check_report(
+        "log_convexity",
+        {"n": n, "H": list(map(float, H)), "N": N, "seed": seed,
+         "grid": list(map(float, grid))},
+        max(0.0, -worst),
+        worst >= 0.0,
+        {"log_values": logs, "stderr_log": sigmas},
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -129,6 +130,55 @@ class TestVerify:
         run_cli(capsys, "verify", "ff", "--chains", "3", "--out", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_table_has_one_row_per_check(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "monotonicity", "--format", "table")
+        assert code == 0
+        header, *rows = [line.split() for line in out.splitlines()]
+        assert header == ["check", "pass", "max_abs_err"]
+        _, doc, _ = run_cli(capsys, "verify", "monotonicity")
+        checks = json.loads(doc)["checks"]
+        assert rows == [[c["check"], str(c["pass"]), str(c["max_abs_err"])] for c in checks]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@pytest.mark.parametrize("argv, passes", [
+    (["verify", "hessian", "--n", "2"], True),
+    (["verify", "hessian", "--n", "2", "--tol", "1e-12"], False),
+    (["verify", "spherical", "--samples", "2000"], True),
+    (["verify", "monotonicity"], True),
+    (["verify", "ff", "--chains", "2"], True),
+    # a 3 x 3 triangle breaks the diameter bound
+    (["verify", "ff", "--mesh", "{tmp}/big.json"], False),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_every_check_has_the_one_report_shape(capsys, tmp_path, argv, passes):
+    (tmp_path / "big.json").write_text(
+        '{"vertices": [[0, 0], [3, 0], [0, 3]], "simplices": [[0, 1, 2]]}')
+    code, out, _ = run_cli(capsys, *[a.format(tmp=tmp_path) for a in argv])
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["checks"]
+    for report in doc["checks"]:
+        assert set(report) == {"check", "params", "max_abs_err", "pass", "detail"}
+        assert type(report["max_abs_err"]) is float
+        assert math.isfinite(report["max_abs_err"]) and report["max_abs_err"] >= 0.0
+        assert type(report["pass"]) is bool
+    assert doc["pass"] is all(r["pass"] for r in doc["checks"]) is passes
+    assert (code == 0) == doc["pass"] and code in (0, 1)
+
+
+def test_check_report_rejects_non_finite_error():
+    from symgeo.report import check_report
+
+    report = check_report("c", {"n": 2}, 0, 1, {})
+    assert report == {"check": "c", "params": {"n": 2}, "max_abs_err": 0.0,
+                      "pass": True, "detail": {}}
+    assert type(report["max_abs_err"]) is float and report["pass"] is True
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            check_report("c", {}, bad, True, {})
+
 
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as err:
@@ -148,6 +198,9 @@ def test_help_exits_zero(capsys):
     ["rx", "SL:1_6"],
     ["verify", "hessian", "--n", "7"],
     ["verify", "hessian", "--h", "1"],
+    ["verify", "hessian", "--tol", "0"],
+    ["verify", "hessian", "--tol", "nan"],
+    ["verify", "hessian", "--tol", "inf"],
     ["verify", "ff", "--chains", "-3"],
     ["verify", "ff", "--chains", "0"],
     ["verify", "ff", "--mesh", "{tmp}/missing.json"],
@@ -175,8 +228,10 @@ _TRIANGLE = '"vertices": [[0, 0], [1, 0], [0, 1]]'
     '{' + _TRIANGLE + ', "simplices": [[0, 1, 5]]}',
     '{' + _TRIANGLE + ', "simplices": 7}',
     '{"vertices": [[0, 0], [1, 0], [2, 0]], "simplices": [[0, 1, 2]]}',
+    '{' + _TRIANGLE + ', "simplices": []}',
 ], ids=["no-simplices", "not-json", "not-an-object", "flat-vertices", "nan-vertex",
-        "repeated-vertex", "unknown-vertex", "simplices-not-a-list", "degenerate-cell"])
+        "repeated-vertex", "unknown-vertex", "simplices-not-a-list", "degenerate-cell",
+        "empty-simplices"])
 def test_malformed_mesh_exits_two_with_one_line(capsys, tmp_path, mesh):
     path = tmp_path / "mesh.json"
     path.write_text(mesh)

@@ -110,13 +110,13 @@ class TestGeoComplex:
 class TestCheckUniform:
     def test_unit_square_passes(self, unit_square):
         report = check_uniform(unit_square, r=1.5, delta=0.1)
-        assert report.passed
+        assert report["pass"]
 
     def test_volume_condition_fails(self, unit_square):
         report = check_uniform(unit_square, r=1.5, delta=0.5)
-        assert not report.passed
-        assert not report.worst["volume"]["ok"]
-        assert report.worst["diameter"]["ok"]
+        assert not report["pass"]
+        assert not report["detail"]["worst"]["volume"]["ok"]
+        assert report["detail"]["worst"]["diameter"]["ok"]
 
     def test_equilateral_triangle(self):
         cx = GeoComplex(
@@ -124,12 +124,26 @@ class TestCheckUniform:
             [(0, 1, 2)],
         )
         report = check_uniform(cx, r=1.0, delta=0.2)
-        assert report.worst["distortion"]["value"] == pytest.approx(1.0)
-        assert report.passed
+        assert report["detail"]["worst"]["distortion"]["value"] == pytest.approx(1.0)
+        assert report["pass"]
 
     def test_torus_uniform(self, torus8):
         report = check_uniform(torus8, r=1.2, delta=0.2)
-        assert report.passed
+        assert report["pass"]
+
+    def test_report_holds_worst_violation(self, unit_square):
+        report = check_uniform(unit_square, r=1.5, delta=0.5)
+        assert set(report) == {"check", "params", "max_abs_err", "pass", "detail"}
+        assert report["check"] == "uniformity"
+        assert report["params"] == {"r": 1.5, "delta": 0.5}
+        # the volume condition is the only one violated
+        assert report["max_abs_err"] == -report["detail"]["worst"]["volume"]["margin"] > 0
+        assert check_uniform(unit_square, r=1.5, delta=0.1)["max_abs_err"] == 0.0
+
+    def test_empty_complex_raises(self):
+        cx = GeoComplex(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [])
+        with pytest.raises(ValueError, match="no cells"):
+            check_uniform(cx, r=1.2, delta=0.2)
 
 
 class TestChains:
@@ -1382,6 +1396,13 @@ class TestChainSizedCertification:
         assert ref() is None
         assert len(homology._IMAGES) == held - 1
 
+    @pytest.mark.parametrize("n_chains", [0, -1])
+    def test_suite_rejects_no_chains(self, n_chains):
+        from symgeo.ffengine import run_deformation_suite
+
+        with pytest.raises(ValueError, match="n_chains"):
+            run_deformation_suite(_CYCLE_COMPLEXES["torus8"], n_chains=n_chains)
+
     @pytest.mark.parametrize("name", sorted(_CYCLE_COMPLEXES))
     def test_top_cofaces_match_search(self, name):
         src = _CYCLE_COMPLEXES[name]
@@ -1445,3 +1466,36 @@ class TestChainSizedCertification:
     def test_is_cycle_rejects_a_vector_of_the_wrong_length(self, torus8):
         with pytest.raises(ValueError, match="192 1-cells"):
             homology.is_cycle(torus8, 1, np.zeros(191, dtype=np.uint8))
+
+
+def _ref_torus_param(n):
+    """Oracle: the parameter triangles as the grid builder once made them,
+    one argsort of wrapped vertex ids per triangle."""
+
+    def vid(i, j):
+        return (i % n) * n + (j % n)
+
+    param = {}
+    for i in range(n):
+        for j in range(n):
+            for corners in (
+                [(i, j), (i + 1, j), (i + 1, j + 1)],   # lower: v <= u
+                [(i, j), (i, j + 1), (i + 1, j + 1)],   # upper: v >= u
+            ):
+                ids = [vid(a, b) for a, b in corners]
+                order = np.argsort(ids)
+                cell = tuple(int(ids[o]) for o in order)
+                param[cell] = np.array([corners[o] for o in order], dtype=float)
+    return param
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_torus_grid_matches_per_triangle_builder(n):
+    cx = flat_torus_complex(n)
+    got, want = cx.metadata["param"], _ref_torus_param(n)
+    assert list(got) == list(want)
+    assert all(type(v) is int for cell in got for v in cell)
+    for cell, tri in want.items():
+        assert got[cell].dtype == tri.dtype and got[cell].shape == tri.shape
+        assert got[cell].tobytes() == tri.tobytes()
+    assert cx.cells_of_dim(2) == sorted(want)
