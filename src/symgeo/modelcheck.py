@@ -10,8 +10,13 @@ orthogonal-triangular decomposition of the transpose with row/column
 reversal.  The polar coordinate a(g) is the vector of singular value
 logarithms.  Hessians are differenced along the geodesics t -> exp(tY) K,
 which are exact in the model, against an orthonormal frame of symmetric
-traceless matrices for the form <X, Y> = 2n tr(XY); the comparison with the
-closed form is returned as a plain check report (``symgeo.report``).
+traceless matrices for the form <X, Y> = 2n tr(XY), stored as one (d, n, n)
+array.  The whole stencil of one Hessian (the base point and exp(+-hY) for
+every frame vector and every sum and difference of two) is exponentiated
+with one batched eigh and evaluated in one call, so a differenced function
+maps a stack of matrices (..., n, n) to its values (...).  The comparison
+with the closed form is returned as a plain check report
+(``symgeo.report``).
 
 The hyperboloid model supplies horofunction values for the real hyperbolic
 family, and a one-dimensional quadrature reproduces the mass growth profile
@@ -76,42 +81,36 @@ class MatrixPoint:
             raise ValueError(f"{self.group} membership defect {defect:.3e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TangentFrame:
-    """Orthonormal basis of the symmetric part of sl(n) under 2n tr(XY)."""
+    """Orthonormal basis of the symmetric part of sl(n) under 2n tr(XY),
+    stored as one (d, n, n) array."""
 
     n: int
-    vectors: tuple[np.ndarray, ...]
+    vectors: np.ndarray
     labels: tuple[tuple, ...]
 
     def gram_defect(self) -> float:
-        worst = 0.0
-        for i, x in enumerate(self.vectors):
-            for j, y in enumerate(self.vectors):
-                val = 2 * self.n * np.trace(x @ y)
-                worst = max(worst, abs(val - (1.0 if i == j else 0.0)))
-        return worst
+        gram = 2 * self.n * np.einsum("aij,bji->ab", self.vectors, self.vectors)
+        return float(np.abs(gram - np.eye(len(self.vectors))).max())
 
 
 def sl_frame(n: int) -> TangentFrame:
     """Cartan directions first, then one symmetric vector per root (i, j)."""
-    vectors: list[np.ndarray] = []
-    labels: list[tuple] = []
-    # orthonormal basis of traceless diagonals: partial-sum (Jacobi-like) vectors
-    for i in range(1, n):
-        d = np.zeros(n)
-        d[:i] = 1.0
-        d[i] = -float(i)
-        d /= math.sqrt(2 * n * (i + i * i))
-        vectors.append(np.diag(d))
-        labels.append(("H", i))
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = np.zeros((n, n))
-            s[i, j] = s[j, i] = 1.0 / (2.0 * math.sqrt(n))
-            vectors.append(s)
-            labels.append(("E", (i + 1, j + 1)))
-    return TangentFrame(n, tuple(vectors), tuple(labels))
+    # orthonormal basis of traceless diagonals: partial-sum (Jacobi-like)
+    # vectors, row i - 1 holding i ones followed by -i
+    i = np.arange(1, n)
+    diag = np.tril(np.ones((n - 1, n)))
+    diag[i - 1, i] = -i
+    diag /= np.sqrt(2 * n * (i + i * i))[:, None]
+    rows, cols = np.triu_indices(n, 1)
+    vectors = np.zeros((n - 1 + len(rows), n, n))
+    vectors[: n - 1, np.arange(n), np.arange(n)] = diag
+    roots = np.arange(n - 1, len(vectors))
+    vectors[roots, rows, cols] = vectors[roots, cols, rows] = 1.0 / (2.0 * math.sqrt(n))
+    labels = [("H", int(k)) for k in i] + [("E", (int(a) + 1, int(b) + 1))
+                                            for a, b in zip(rows, cols)]
+    return TangentFrame(n, vectors, tuple(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -179,57 +178,60 @@ def cartan_a(g) -> np.ndarray:
 
 
 def _expm_sym(y: np.ndarray) -> np.ndarray:
+    """exp of a stack of symmetric matrices (..., n, n), one batched eigh."""
     w, v = np.linalg.eigh(y)
-    return (v * np.exp(w)) @ v.T
+    return (v * np.exp(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
-def fd_hessian(F: Callable[[np.ndarray], float], frame: TangentFrame,
+def fd_hessian(F: Callable[[np.ndarray], np.ndarray], frame: TangentFrame,
                h: float = DEFAULT_STEP) -> np.ndarray:
     """Second-order central differences of F along exp(tY) geodesics.
 
     Diagonal entries use the 3-point second difference, off-diagonal entries
     the polarization (q(Y_a + Y_b) - q(Y_a - Y_b)) / 4, so the whole matrix
     carries an O(h^2) error and is symmetric by construction.
+
+    F maps a stack of matrices (..., n, n) to its values (...).  The base
+    point and every stencil point exp(+-h Y) for Y in {Y_a, Y_a + Y_b,
+    Y_a - Y_b} are exponentiated with one batched eigh and passed to F in
+    one call.
     """
     if not STEP_RANGE[0] <= h <= STEP_RANGE[1]:
         raise ValueError(f"step h = {h} outside [1e-5, 1e-2]")
-    f0 = F(np.eye(frame.n))
+    Y = frame.vectors
+    d = len(Y)
+    a, b = np.triu_indices(d, 1)
+    steps = h * np.concatenate([Y, Y[a] + Y[b], Y[a] - Y[b]])
+    stencil = _expm_sym(np.concatenate([steps, -steps]))
+    values = np.asarray(F(np.concatenate([np.eye(frame.n)[None], stencil])), dtype=float)
+    f0, f_plus, f_minus = values[0], *np.split(values[1:], 2)
     if not np.isfinite(f0):
         raise ValueError("F returned a non-finite value at the base point")
-
-    def second_diff(y):
-        val = (F(_expm_sym(h * y)) - 2.0 * f0 + F(_expm_sym(-h * y))) / (h * h)
-        if not np.isfinite(val):
-            raise ValueError("F returned a non-finite value during differencing")
-        return val
-
-    d = len(frame.vectors)
-    M = np.zeros((d, d))
-    for a in range(d):
-        M[a, a] = second_diff(frame.vectors[a])
-    for a in range(d):
-        for b in range(a + 1, d):
-            plus = second_diff(frame.vectors[a] + frame.vectors[b])
-            minus = second_diff(frame.vectors[a] - frame.vectors[b])
-            M[a, b] = M[b, a] = (plus - minus) / 4.0
+    q = (f_plus - 2.0 * f0 + f_minus) / (h * h)
+    if not np.isfinite(q).all():
+        raise ValueError("F returned a non-finite value during differencing")
+    q_diag, q_sum, q_diff = np.split(q, [d, d + len(a)])
+    M = np.diag(q_diag)
+    M[a, b] = M[b, a] = (q_sum - q_diff) / 4.0
     return M
 
 
-def linear_coordinate_function(xi: Covector) -> Callable[[np.ndarray], float]:
-    """g -> xi(H(g)) for a covector on an SLn datum."""
+def linear_coordinate_function(xi: Covector) -> Callable[[np.ndarray], np.ndarray]:
+    """g -> xi(H(g)) for a covector on an SLn datum, over a stack of matrices."""
     w = np.array([float(c) for c in xi.e_coords()])
 
-    def F(g):
-        return float(iwasawa_H(g) @ w)
+    def F(gs):
+        return iwasawa_H_batch(gs) @ w
 
     return F
 
 
-def exp_coordinate_function(xi: Covector) -> Callable[[np.ndarray], float]:
+def exp_coordinate_function(xi: Covector) -> Callable[[np.ndarray], np.ndarray]:
+    """g -> e^{xi(H(g))}, over a stack of matrices."""
     w = np.array([float(c) for c in xi.e_coords()])
 
-    def F(g):
-        return math.exp(float(iwasawa_H(g) @ w))
+    def F(gs):
+        return np.exp(iwasawa_H_batch(gs) @ w)
 
     return F
 

@@ -8,8 +8,10 @@ roots alpha and 2 alpha are ``((0, 1),)`` and ``((0, 2),)``.  So SL(n) data
 take O(n^2) memory, and ``root_pairings``, ``rho``, ``theta_so`` and the
 strong-orthogonality check run on the supports in O(n^2) time.  The dense
 views ``root_coords`` (integer simple-root coordinates) and
-``positive_roots`` (covectors) are derived on demand and cached, as is
-``theta_so``.
+``positive_roots`` (covectors) are derived on demand.  Only plain data are
+cached on a datum (``root_coords``, ``dual_gram``, the coordinates of
+``theta_so``): a cached Covector would point back at its datum, a reference
+cycle that only the cyclic collector frees.
 
 Covector coordinates are kept in the simple-root basis with exact rational
 entries, so that integrality and Weyl-invariance checks are exact; floats
@@ -140,21 +142,20 @@ class RootDatum:
         """The positive roots as integer simple-root coordinates, with multiplicity."""
         return tuple((_root_coords(self, support), mult) for support, mult in self.roots)
 
-    @cached_property
+    @property
     def positive_roots(self) -> tuple[tuple[Covector, int], ...]:
         return tuple((Covector(coords, self), mult) for coords, mult in self.root_coords)
 
     @cached_property
     def _theta_so_coords(self) -> tuple[Fraction, ...]:
         """Coordinates of ``theta_so``, so its set is checked for strong
-        orthogonality once.  A cached Covector would point back at the datum,
-        a reference cycle that outlives the datum's last user."""
+        orthogonality once."""
         members = _strongly_orthogonal_supports(self)
         if not _is_strongly_orthogonal(self, members):
             raise AssertionError("chosen set failed the strong-orthogonality check")
         return _half_sum(self, ((support, 1) for support in members)).coords
 
-    @cached_property
+    @property
     def simple_roots(self) -> tuple[Covector, ...]:
         return tuple(
             Covector(tuple(int(i == l) for l in range(self.rank)), self)
@@ -164,9 +165,8 @@ class RootDatum:
     @cached_property
     def dual_gram(self) -> tuple[tuple[Fraction, ...], ...]:
         """Gram matrix of the pairing on the simple roots."""
-        return tuple(
-            tuple(pair(self, a, b) for b in self.simple_roots) for a in self.simple_roots
-        )
+        simple = self.simple_roots
+        return tuple(tuple(pair(self, a, b) for b in simple) for a in simple)
 
     @property
     def m_alpha(self) -> int:

@@ -70,6 +70,18 @@ class TestFrame:
         assert len(frame.vectors) == n * (n + 1) // 2 - 1
         assert frame.gram_defect() <= 1e-10
 
+    def test_frame_is_one_array(self):
+        frame = mc.sl_frame(4)
+        assert isinstance(frame.vectors, np.ndarray)
+        assert frame.vectors.shape == (9, 4, 4)
+        assert len(frame.labels) == 9
+
+    def test_gram_defect_sees_a_bad_vector(self):
+        frame = mc.sl_frame(3)
+        vectors = frame.vectors.copy()
+        vectors[2] *= 1.5
+        assert mc.TangentFrame(3, vectors, frame.labels).gram_defect() == pytest.approx(1.25)
+
     def test_vectors_symmetric_traceless(self):
         frame = mc.sl_frame(4)
         for v in frame.vectors:
@@ -158,10 +170,30 @@ class TestCartan:
             assert all(a[i] >= a[i + 1] - 1e-12 for i in range(4))
 
 
+def fd_hessian_loop(F, frame, h):
+    """Per-point oracle for fd_hessian: one F call per stencil point, on a
+    single matrix, in the order of the scalar implementation it replaced."""
+    f0 = F(np.eye(frame.n))
+
+    def second_diff(y):
+        return (F(mc._expm_sym(h * y)) - 2.0 * f0 + F(mc._expm_sym(-h * y))) / (h * h)
+
+    d = len(frame.vectors)
+    M = np.zeros((d, d))
+    for a in range(d):
+        M[a, a] = second_diff(frame.vectors[a])
+    for a in range(d):
+        for b in range(a + 1, d):
+            plus = second_diff(frame.vectors[a] + frame.vectors[b])
+            minus = second_diff(frame.vectors[a] - frame.vectors[b])
+            M[a, b] = M[b, a] = (plus - minus) / 4.0
+    return M
+
+
 class TestFDHessian:
     def test_constant_function(self):
         frame = mc.sl_frame(2)
-        M = mc.fd_hessian(lambda g: 1.0, frame, 1e-3)
+        M = mc.fd_hessian(lambda gs: np.ones(gs.shape[:-2]), frame, 1e-3)
         assert np.abs(M).max() <= 1e-8
 
     def test_sl2_linear(self):
@@ -218,7 +250,60 @@ class TestFDHessian:
     def test_step_bounds(self):
         frame = mc.sl_frame(2)
         with pytest.raises(ValueError):
-            mc.fd_hessian(lambda g: 0.0, frame, 1e-6)
+            mc.fd_hessian(lambda gs: np.zeros(gs.shape[:-2]), frame, 1e-6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_stencil_value_raises(self, bad):
+        # F is finite everywhere but at the single stencil point exp(h Y_1)
+        frame = mc.sl_frame(3)
+        h = 1e-3
+        target = mc._expm_sym(h * frame.vectors[1])
+
+        def F(gs):
+            hit = np.isclose(gs, target, rtol=0.0, atol=1e-15).all(axis=(-2, -1))
+            return np.where(hit, bad, 0.0)
+
+        with pytest.raises(ValueError, match="during differencing"):
+            mc.fd_hessian(F, frame, h)
+
+    def test_non_finite_base_value_raises(self):
+        frame = mc.sl_frame(3)
+
+        def F(gs):
+            base = np.isclose(gs, np.eye(3), rtol=0.0, atol=0.0).all(axis=(-2, -1))
+            return np.where(base, np.nan, 0.0)
+
+        with pytest.raises(ValueError, match="base point"):
+            mc.fd_hessian(F, frame, 1e-3)
+
+    @pytest.mark.parametrize("n", list(mc.MODEL_SIZES))
+    @pytest.mark.parametrize("exp", [False, True])
+    @pytest.mark.parametrize("h", [1e-2, 1e-3])
+    def test_batched_stencil_matches_loop_oracle(self, n, exp, h):
+        rd = build_sln(n, "Killing")
+        xi = rho(rd)
+        M, frame = mc.fd_model_hessian(n, xi, h, exp=exp)
+        F = mc.exp_coordinate_function(xi) if exp else mc.linear_coordinate_function(xi)
+        M_loop = fd_hessian_loop(F, frame, h)
+        assert np.all(np.abs(M - M_loop) <= 1e-7 * np.maximum(1.0, np.abs(M_loop)))
+
+    @pytest.mark.parametrize("n", list(mc.MODEL_SIZES))
+    def test_stencil_is_one_batched_call(self, n, monkeypatch):
+        # a per-point loop over the stencil would call iwasawa_H_batch
+        # O(d^2) times
+        calls = []
+        batch = mc.iwasawa_H_batch
+
+        def counting(gs):
+            calls.append(np.shape(gs))
+            return batch(gs)
+
+        monkeypatch.setattr(mc, "iwasawa_H_batch", counting)
+        xi = rho(build_sln(n, "Killing"))
+        for exp in (False, True):
+            calls.clear()
+            mc.fd_model_hessian(n, xi, 1e-3, exp=exp)
+            assert 1 <= len(calls) <= 2
 
     def test_symmetry_by_construction(self):
         rd = build_sln(3, "Killing")

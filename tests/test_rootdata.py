@@ -20,6 +20,7 @@ from symgeo.rootdata import (
     strongly_orthogonal_set,
     theta_so,
 )
+from symgeo.spherical import c_function
 
 
 def killing_pair_oracle(n, xi, eta):
@@ -202,14 +203,30 @@ class TestTheta:
         assert len(calls) == 2
 
     def test_cache_makes_no_reference_cycle(self):
-        # data freed by reference counting keep the memory of repeated rx flat
-        gc.collect()
-        gc.disable()
-        try:
-            r_lower_bound(build_sln(16))
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        # data freed by reference counting keep the memory of repeated rx flat;
+        # a Covector cached on its own datum would make a cycle
+        sl16, hnc3, h2o = (lambda: build_sln(16), lambda: build_rank_one("HnC", 3),
+                           lambda: build_rank_one("H2O", 2))
+        cases = {
+            "r_lower_bound": (sl16, r_lower_bound),
+            "positive_roots": (sl16, lambda rd: rd.positive_roots),
+            "simple_roots": (sl16, lambda rd: rd.simple_roots),
+            "dual_gram": (sl16, lambda rd: rd.dual_gram),
+            "alpha": (hnc3, lambda rd: rd.alpha),
+            "c_function SL16": (sl16, lambda rd: c_function(rd, Fraction(3, 2) * rho(rd))),
+            "c_function H2O": (h2o, lambda rd: c_function(rd, Fraction(3, 2) * rho(rd))),
+        }
+        for name, (build, use) in cases.items():
+            use(build())  # lazy imports and module caches fill outside the count
+            rd = build()
+            gc.collect()
+            gc.disable()
+            try:
+                use(rd)
+                del rd
+                assert gc.collect() == 0, name
+            finally:
+                gc.enable()
 
     def test_gap_pairing_example(self):
         # <alpha_{1,4}, 2 rho - theta> = 2*3 - 1 = 5 in the trace form
