@@ -97,19 +97,20 @@ class TangentFrame:
 
 def sl_frame(n: int) -> TangentFrame:
     """Cartan directions first, then one symmetric vector per root (i, j)."""
-    # orthonormal basis of traceless diagonals: partial-sum (Jacobi-like)
-    # vectors, row i - 1 holding i ones followed by -i
-    i = np.arange(1, n)
-    diag = np.tril(np.ones((n - 1, n)))
-    diag[i - 1, i] = -i
-    diag /= np.sqrt(2 * n * (i + i * i))[:, None]
-    rows, cols = np.triu_indices(n, 1)
-    vectors = np.zeros((n - 1 + len(rows), n, n))
-    vectors[: n - 1, np.arange(n), np.arange(n)] = diag
-    roots = np.arange(n - 1, len(vectors))
-    vectors[roots, rows, cols] = vectors[roots, cols, rows] = 1.0 / (2.0 * math.sqrt(n))
-    labels = [("H", int(k)) for k in i] + [("E", (int(a) + 1, int(b) + 1))
-                                            for a, b in zip(rows, cols)]
+    vectors = np.zeros((n * (n + 1) // 2 - 1, n, n))
+    labels: list[tuple] = []
+    # orthonormal basis of traceless diagonals: partial-sum (Jacobi-like) vectors
+    for i in range(1, n):
+        d = np.zeros(n)
+        d[:i] = 1.0
+        d[i] = -float(i)
+        d /= math.sqrt(2 * n * (i + i * i))
+        vectors[len(labels)] = np.diag(d)
+        labels.append(("H", i))
+    for i in range(n):
+        for j in range(i + 1, n):
+            vectors[len(labels), i, j] = vectors[len(labels), j, i] = 1.0 / (2.0 * math.sqrt(n))
+            labels.append(("E", (i + 1, j + 1)))
     return TangentFrame(n, vectors, tuple(labels))
 
 
