@@ -16,7 +16,6 @@ from .deform import (
     FFResult,
     ff_deform,
     ff_step,
-    radial_project,
     remainder_decomposition,
     select_center,
     vanishing_threshold,
@@ -47,7 +46,6 @@ __all__ = [
     "flat_torus_complex",
     "is_closed",
     "normalize_chain",
-    "radial_project",
     "random_loop_chain",
     "remainder_decomposition",
     "run_deformation_suite",

@@ -70,7 +70,7 @@ def _keys_and_dets(pts: np.ndarray, _) -> list:
 class PolyChain:
     """Mod-2 polyhedral k-chain; construction prunes and cancels pieces."""
 
-    def __init__(self, k: int, pieces: Iterable[Piece], reduce: bool = True):
+    def __init__(self, k: int, pieces: Iterable[Piece]):
         self.k = int(k)
         given = []
         for piece in pieces:
@@ -81,24 +81,25 @@ class PolyChain:
                 )
             given.append(piece if pts is piece.points else Piece(piece.host, pts))
         kept: dict = {}
-        for i, (piece, (rows, det)) in enumerate(zip(given, _per_shape(_keys_and_dets, given))):
+        for piece, (rows, det) in zip(given, _per_shape(_keys_and_dets, given)):
             if det < DEGENERATE_GRAM:
                 continue
-            key = (piece.host, rows) if reduce else i
+            key = (piece.host, rows)
             if key in kept:
                 del kept[key]  # Z/2: second copy cancels the first
             else:
                 kept[key] = (piece, det)
         self.pieces: tuple[Piece, ...] = tuple(piece for piece, _ in kept.values())
-        # simplex_volume of each piece, from the determinant already taken
         scale = math.factorial(self.k)
-        self._volumes = [math.sqrt(max(det, 0.0)) / scale for _, det in kept.values()]
+        #: simplex_volume of each piece, from the determinant already taken
+        self.volumes: list[float] = [math.sqrt(max(det, 0.0)) / scale
+                                     for _, det in kept.values()]
 
     def __len__(self):
         return len(self.pieces)
 
     def volume(self) -> float:
-        return float(sum(self._volumes))
+        return float(sum(self.volumes))
 
     def max_host_dim(self) -> int:
         return max((len(p.host) - 1 for p in self.pieces), default=-1)

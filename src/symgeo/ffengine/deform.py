@@ -20,9 +20,10 @@ simplex-volume call (only the clipping of triangles loops).  select_centers
 draws a block of candidates per cell, each from the cell's own seeded
 stream, scores all blocks with one kernel call, and applies the acceptance
 rule cell by cell; cells that accept nothing draw their next blocks
-together, one kernel call per round.  select_center is its one-cell call,
-project_piece the one-candidate call of the kernel, and ff_step keeps the
-image pieces and tracks each chosen center was scored with.
+together, one kernel call per round.  ff_step calls select_centers once per
+level above the chain's dimension and keeps the image pieces and tracks
+each chosen center was scored with.  select_center and project_piece are
+the one-cell and one-piece forms of the two calls.
 
 Homotopy tracks are exact cone-volume differences: the region swept by
 y -> (1-t) y + t p(y) is the cone over the projected part minus the cone over
@@ -56,12 +57,11 @@ _MERGE_TOL = 1e-7
 
 
 class CenterSelectionError(RuntimeError):
-    """No acceptable center in a cell: ``best`` is its best candidate, and
-    ``accepted`` the centers of the cells of the level chosen before it."""
+    """No acceptable center in a cell; ``accepted`` holds the centers of the
+    cells of the level chosen before it."""
 
-    def __init__(self, msg, best=None, accepted=()):
+    def __init__(self, msg, accepted=()):
         super().__init__(msg)
-        self.best = best
         self.accepted = accepted
 
 
@@ -347,22 +347,6 @@ def project_piece(cx: GeoComplex, cell: Cell, x0: np.ndarray, piece: Piece):
     return scored.image_pieces(0, 0), float(scored.proj[0, 0]), float(scored.track[0, 0])
 
 
-def radial_project(cx: GeoComplex, cell: Cell, x0, piece: Piece) -> list[Piece]:
-    """Image pieces of the central projection from x0 onto the cell boundary.
-
-    Pieces already on the boundary are returned unchanged; the center must
-    keep clear of the piece and of its affine hull.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    bary = cx.barycentric(cell, piece.points)
-    for j in range(len(cell)):
-        if np.abs(bary[:, j]).max() <= CENTER_CLEARANCE:
-            return [piece]
-    if _too_close(x0[None, :], piece.points[None], len(cell) - 1)[0]:
-        raise ValueError("center is within clearance of the piece; reselect")
-    return project_piece(cx, cell, x0, piece)[0]
-
-
 # ---------------------------------------------------------------------------
 # center selection
 # ---------------------------------------------------------------------------
@@ -371,56 +355,46 @@ def radial_project(cx: GeoComplex, cell: Cell, x0, piece: Piece) -> list[Piece]:
 #: candidates are drawn and scored in blocks of the same size
 _BATCH = 8
 
+#: candidates a cell may try before center selection gives up; a multiple of
+#: _BATCH, so every block is full
+_MAX_TRIES = 64
+
 
 @dataclass
 class CenterInfo:
     point: np.ndarray
     ratio: float
     tries: int
-    c_target: float
     #: image pieces of the projection from point, and the homotopy-track
     #: volume of each input piece's projection
-    pieces: tuple[Piece, ...] = ()
-    tracks: tuple[float, ...] = ()
+    pieces: tuple[Piece, ...]
+    tracks: tuple[float, ...]
     #: candidates rejected before the choice: within clearance of a piece, or
     #: with an exit ray that misses its facet
-    rejected_clearance: int = 0
-    rejected_exit: int = 0
+    rejected_clearance: int
+    rejected_exit: int
 
 
 class _CenterSearch:
     """One cell's rejection sampling, fed one scored block of candidates at a
     time; ``info`` is set once a candidate is accepted."""
 
-    def __init__(self, cx, cell, pieces, rng, c_target, max_tries, total):
+    def __init__(self, cx, cell, pieces, rng, c_target, total):
         self.cell, self.pieces, self.rng = cell, pieces, rng
         self.model = cx.chart(cell).model
-        self.target, self.max_tries, self.total = c_target, max_tries, total
+        self.target, self.total = c_target, total
         self.attempt = self.rejected_clearance = self.rejected_exit = 0
         self.candidates: list = []  # (ratio, attempt, scored, cell row, candidate)
         self.info: CenterInfo | None = None
-        if not pieces:
-            bary = np.full(len(cell), 1.0 / len(cell))
-            self.info = CenterInfo(bary @ self.model, 0.0, 0, 0.0)
 
-    def accept(self, candidate, target):
+    def accept(self, candidate):
         ratio, attempt, scored, row, i = candidate
         self.info = CenterInfo(
-            scored.centers[row, i], ratio, attempt, target,
+            scored.centers[row, i], ratio, attempt,
             tuple(scored.image_pieces(row, i)),
             tuple(scored.piece_tracks[row, i, :len(self.pieces)].tolist()),
             self.rejected_clearance, self.rejected_exit,
         )
-
-    def feed_clear(self, centers: np.ndarray, clear: list[bool]):
-        # projecting a full-dimensional piece to the boundary kills its
-        # volume and sweeps no (k+1)-volume inside the cell
-        if any(clear):
-            i = clear.index(True)
-            self.info = CenterInfo(centers[i], 0.0, self.attempt + i + 1, self.target or 0.0,
-                                   rejected_clearance=self.rejected_clearance + i)
-        self.rejected_clearance += len(clear)
-        self.attempt += len(clear)
 
     def feed(self, scored: Projections, row: int, ratios: list[float]):
         clear, exits = scored.clear[row].tolist(), scored.exits[row].tolist()
@@ -433,71 +407,65 @@ class _CenterSearch:
                 self.rejected_exit += 1
                 continue
             self.candidates.append((ratio, self.attempt, scored, row, i))
-            if self.target is None and len(self.candidates) >= min(_BATCH, self.max_tries):
+            if self.target is None and len(self.candidates) >= _BATCH:
                 self.target = 4.0 * statistics.median(c[0] for c in self.candidates)
                 for candidate in self.candidates:
                     if candidate[0] <= self.target:
-                        return self.accept(candidate, self.target)
+                        return self.accept(candidate)
             elif self.target is not None and ratio <= self.target:
-                return self.accept(self.candidates[-1], self.target)
+                return self.accept(self.candidates[-1])
 
     def finish(self, accepted: list[CenterInfo]):
-        """The choice once max_tries candidates found none acceptable."""
-        best = min(self.candidates, key=lambda c: c[0]) if self.candidates else None
-        if best and self.target is None:
-            # tiny max_tries: fall back to the best candidate seen
-            return self.accept(best, 4.0 * best[0])
-        if best:
-            self.accept(best, self.target or 0.0)
+        """The choice once _MAX_TRIES candidates found none acceptable."""
+        if self.candidates and self.target is None:
+            # fewer than _BATCH valid candidates set no target: the best
+            # candidate seen is the choice
+            return self.accept(min(self.candidates, key=lambda c: c[0]))
         raise CenterSelectionError(
-            f"no acceptable center in {self.max_tries} tries for cell {self.cell}",
-            best=self.info, accepted=tuple(accepted),
+            f"no acceptable center in {_MAX_TRIES} tries for cell {self.cell}",
+            accepted=tuple(accepted),
         )
 
 
 def select_centers(cx: GeoComplex, cells: Sequence[Cell],
                    pieces: Sequence[Sequence[Piece]], rngs: Sequence,
-                   c_target: float | None = None, max_tries: int = 64):
+                   c_target: float | None = None):
     """Seeded rejection sampling of a projection center in each of the cells
-    of one dimension, cell l drawing from rngs[l].
+    of one dimension m, cell l drawing from rngs[l].
 
-    Each cell accepts the first candidate whose projected volume and homotopy
-    track are both at most c_target times its piece volume.  Without an
-    explicit c_target, 4x the median ratio of its first 8 valid candidates
-    is used.  Every cell draws a block of candidates, and one project_pieces
-    call scores the blocks of all cells still searching; the choices are
-    those of drawing each cell's candidates one at a time.  Returns the
-    cells' CenterInfos and the number of kernel calls.  The first cell
-    (in the given order) left without a center raises CenterSelectionError,
-    which carries the CenterInfos of the cells before it.
+    Every cell must hold pieces, all of one dimension k < m.  Each cell
+    accepts the first candidate whose projected volume and homotopy track
+    are both at most c_target times its piece volume.  Without an explicit
+    c_target, 4x the median ratio of its first 8 valid candidates is used.
+    Every cell draws a block of candidates, and one project_pieces call
+    scores the blocks of all cells still searching; the choices are those of
+    drawing each cell's candidates one at a time.  Returns the cells'
+    CenterInfos and the number of kernel calls.  The first cell (in the
+    given order) left without a center after _MAX_TRIES candidates raises
+    CenterSelectionError, which carries the CenterInfos of the cells before
+    it.
     """
+    m = len(cells[0]) - 1 if cells else 0
+    if not all(pieces) or any(len(ps[0].points) > m for ps in pieces):
+        raise ValueError("every cell needs pieces of a dimension below the cell's")
     volumes = iter(piece_volumes([p for ps in pieces for p in ps]).tolist())
     searches = [
-        _CenterSearch(cx, cell, ps, rng, c_target, max_tries,
-                      sum(next(volumes) for _ in ps))
+        _CenterSearch(cx, cell, ps, rng, c_target, sum(next(volumes) for _ in ps))
         for cell, ps, rng in zip(cells, pieces, rngs)
     ]
-    full_dim = all(p.points.shape[0] == p.points.shape[1] + 1 for ps in pieces for p in ps)
-    active = [s for s in searches if s.info is None and s.attempt < max_tries]
+    active = searches
     kernel_calls = 0
-    m = len(cells[0]) - 1 if cells else 0
     while active:
-        size = min(_BATCH, max_tries - active[0].attempt)
-        centers = np.stack([s.rng.dirichlet(np.ones(m + 1), size=size) @ s.model
+        centers = np.stack([s.rng.dirichlet(np.ones(m + 1), size=_BATCH) @ s.model
                             for s in active])
         kernel_calls += 1
-        if full_dim:
-            clear = ~_too_close(centers, _stack_pieces([s.pieces for s in active])[0], m)
-            for s, x, row in zip(active, centers, clear.tolist()):
-                s.feed_clear(x, row)
-        else:
-            scored = project_pieces(cx, [s.cell for s in active], centers,
-                                    [s.pieces for s in active])
-            totals = np.array([s.total for s in active])[:, None]
-            ratios = (np.maximum(scored.proj, scored.track) / totals).tolist()
-            for row, s in enumerate(active):
-                s.feed(scored, row, ratios[row])
-        active = [s for s in active if s.info is None and s.attempt < max_tries]
+        scored = project_pieces(cx, [s.cell for s in active], centers,
+                                [s.pieces for s in active])
+        totals = np.array([s.total for s in active])[:, None]
+        ratios = (np.maximum(scored.proj, scored.track) / totals).tolist()
+        for row, s in enumerate(active):
+            s.feed(scored, row, ratios[row])
+        active = [s for s in active if s.info is None and s.attempt < _MAX_TRIES]
     infos: list[CenterInfo] = []
     for s in searches:
         if s.info is None:
@@ -507,11 +475,10 @@ def select_centers(cx: GeoComplex, cells: Sequence[Cell],
 
 
 def select_center(cx: GeoComplex, cell: Cell, pieces: Sequence[Piece],
-                  c_target: float | None = None, max_tries: int = 64,
-                  rng=None) -> CenterInfo:
+                  c_target: float | None = None, rng=None) -> CenterInfo:
     """select_centers for one cell; rng is a Generator or a seed."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    return select_centers(cx, [cell], [list(pieces)], [rng], c_target, max_tries)[0][0]
+    return select_centers(cx, [cell], [list(pieces)], [np.random.default_rng(rng)],
+                          c_target)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -542,13 +509,17 @@ def _edge_intervals(pieces: Sequence[Piece]) -> list[tuple[float, float]]:
     return out
 
 
-def _covers_edge(cx: GeoComplex, cell: Cell, pieces: Sequence[Piece]) -> bool:
+def covers_edge(cx: GeoComplex, cell: Cell, pieces: Sequence[Piece]) -> bool:
+    """Do the 1-pieces on an edge cover it exactly once mod 2?  Each end of
+    the covered interval may miss by 1e-6 times the edge length, or by 1e-6
+    on edges shorter than 1."""
     length = float(cx.chart(cell).model[1, 0])
+    tol = 1e-6 * max(length, 1.0)
     intervals = _edge_intervals(pieces)
     return (
         len(intervals) == 1
-        and abs(intervals[0][0]) <= 1e-6 * max(length, 1.0)
-        and abs(intervals[0][1] - length) <= 1e-6 * max(length, 1.0)
+        and abs(intervals[0][0]) <= tol
+        and abs(intervals[0][1] - length) <= tol
     )
 
 
@@ -559,7 +530,7 @@ def _whole_cell_piece(cx: GeoComplex, cell: Cell) -> Piece:
 def _covers_cell(cx: GeoComplex, cell: Cell, pieces: Sequence[Piece]) -> bool:
     k = len(cell) - 1
     if k == 1:
-        return _covers_edge(cx, cell, pieces)
+        return covers_edge(cx, cell, pieces)
     total = sum(piece_volume(p) for p in pieces)
     return total >= cx.cell_volume(cell) * (1.0 - 1e-6)
 
@@ -622,7 +593,7 @@ def _cell_rng(seed: int, level: int, cell: Cell) -> np.random.Generator:
 
 
 def ff_step(cx: GeoComplex, chain: PolyChain, m: int, seed: int,
-            c_target: float | None = None, max_tries: int = 64):
+            c_target: float | None = None):
     """One collapse level: push pieces out of the open m-cells.
 
     For m > k every m-hosted piece is radially projected to the cell
@@ -661,7 +632,7 @@ def ff_step(cx: GeoComplex, chain: PolyChain, m: int, seed: int,
     else:
         infos, kernel_calls = select_centers(
             cx, cells, [groups[cell] for cell in cells],
-            [_cell_rng(seed, m, cell) for cell in cells], c_target, max_tries)
+            [_cell_rng(seed, m, cell) for cell in cells], c_target)
     for info in infos:
         max_ratio = max(max_ratio, info.ratio)
         new_pieces.extend(info.pieces)
@@ -677,7 +648,7 @@ def ff_step(cx: GeoComplex, chain: PolyChain, m: int, seed: int,
 
 
 def ff_deform(cx: GeoComplex, chain: PolyChain, seed: int,
-              c_target: float | None = None, max_tries: int = 64) -> FFResult:
+              c_target: float | None = None) -> FFResult:
     """Full deformation of a k-chain into the k-skeleton.
 
     Descends one skeleton level at a time; the final chain is a union of
@@ -690,15 +661,11 @@ def ff_deform(cx: GeoComplex, chain: PolyChain, seed: int,
     steps = []
     total_track = 0.0
     max_ratio = 0.0
-    whole: tuple[Cell, ...] = ()
     for m in range(cx.dim, chain.k - 1, -1):
-        chain, step, whole_m, ratio = ff_step(cx, chain, m, seed,
-                                              c_target=c_target,
-                                              max_tries=max_tries)
+        # only the last level, m = k, keeps whole cells
+        chain, step, whole, ratio = ff_step(cx, chain, m, seed, c_target=c_target)
         total_track += step.track
         max_ratio = max(max_ratio, ratio)
-        if m == chain.k:
-            whole = whole_m
         steps.append(step)
     return FFResult(chain, total_track, tuple(steps), whole, max_ratio)
 

@@ -1,6 +1,7 @@
 """Brute-force mod-2 simplicial homology, used as the oracle for deformation
 tests: boundary matrices over GF(2), cycle tests, and homologous-chain tests
-by solving linear systems, all on one incremental GF(2) row basis.
+by membership in the image of the boundary, all on one incremental GF(2) row
+basis.
 
 The image of a boundary map depends only on the complex, so
 boundary_image builds it once per complex and keeps it until the complex
@@ -34,11 +35,6 @@ def gf2_rank(mat: np.ndarray) -> int:
     return Gf2RowSpace(mat if mat.shape[0] <= mat.shape[1] else mat.T).rank
 
 
-def gf2_solve(mat: np.ndarray, target: np.ndarray) -> bool:
-    """Is the target vector in the GF(2) column space of the matrix?"""
-    return Gf2RowSpace(mat.T).contains(target)
-
-
 def betti(cx: GeoComplex, d: int) -> int:
     n_d = len(cx.cells_of_dim(d))
     rank_d = gf2_rank(boundary_matrix(cx, d)) if d >= 1 else 0
@@ -66,9 +62,7 @@ def is_cycle(cx: GeoComplex, d: int, vec: np.ndarray) -> bool:
 def homologous(cx: GeoComplex, d: int, vec1: np.ndarray, vec2: np.ndarray) -> bool:
     """Two d-cycles are homologous iff their sum bounds."""
     diff = (vec1 ^ vec2).astype(np.uint8)
-    if not diff.any():
-        return True
-    return gf2_solve(boundary_matrix(cx, d + 1), diff)
+    return not diff.any() or boundary_image(cx, d + 1).bounds(diff)
 
 
 def cell_vector(cx: GeoComplex, d: int, cells) -> np.ndarray:

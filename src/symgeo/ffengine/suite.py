@@ -7,8 +7,8 @@ constant.  The result is one plain check report (``symgeo.report``).
 
 Certifying a chain costs work proportional to the chain: the GF(2) image
 of the 2-boundaries is built once per complex (homology.boundary_image),
-and the vanishing check takes each input piece's top cofaces and volume
-once per chain.
+and the vanishing check takes each input piece's top cofaces once per
+chain and its volume from the chain.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from ..report import check_report
 from . import homology
-from .chains import PolyChain, piece_volumes, validate_chain
+from .chains import PolyChain, validate_chain
 from .deform import FFResult, ff_deform, remainder_decomposition, vanishing_threshold
 from .complexes import GeoComplex
 from .torus import (
@@ -42,19 +42,17 @@ def vanishing_check(cx: GeoComplex, chain: PolyChain, result: FFResult) -> float
     for i, piece in enumerate(chain.pieces):
         for top in cx.top_cofaces(piece.host):
             near.setdefault(top, []).append(i)
-    volumes = piece_volumes(chain.pieces).tolist()
     worst = float("inf")
     for cell in result.whole_cells:
         # an explicit loop adds in piece order (sum() may compensate)
         mass = 0.0
         for i in sorted({i for top in cx.top_cofaces(cell) for i in near.get(top, ())}):
-            mass += volumes[i]
+            mass += chain.volumes[i]
         worst = min(worst, mass - eta)
     return worst
 
 
-def run_deformation_suite(cx: GeoComplex, n_chains: int = 100, seed: int = 0,
-                          c_target: float | None = None) -> dict:
+def run_deformation_suite(cx: GeoComplex, n_chains: int = 100, seed: int = 0) -> dict:
     """Deform seeded random loops and certify the engine's contracts.
 
     Returns the check report "deformation_suite".  Its ``max_abs_err`` is
@@ -73,7 +71,7 @@ def run_deformation_suite(cx: GeoComplex, n_chains: int = 100, seed: int = 0,
     for chain_seed in map(int, seeds):
         chain, winding = random_loop_chain(cx, seed=chain_seed)
         vol_in = chain.volume()
-        result = ff_deform(cx, chain, seed=chain_seed, c_target=c_target)
+        result = ff_deform(cx, chain, seed=chain_seed)
         try:
             validate_chain(cx, result.final)
         except ValueError as exc:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .chains import Piece, PolyChain, _per_shape, normalize_chain
 from .complexes import GeoComplex, barycentric
+from .deform import covers_edge
 
 #: offsets of the two transversal test-circle families, chosen to miss all
 #: vertices and edges of the grid
@@ -171,14 +172,14 @@ def representative_edge_cycle(cx: GeoComplex, winding: tuple[int, int]) -> list:
 
 
 def whole_edges_of(cx: GeoComplex, chain: PolyChain) -> list:
-    """Edge cells fully covered by the chain's pieces; raises on partial pieces."""
+    """Edge cells fully covered by the chain's pieces, by the rule the
+    collapse keeps whole edges with (deform.covers_edge); raises on partial
+    pieces."""
     edges = []
     for piece in chain.pieces:
         if len(piece.host) - 1 != 1:
             raise ValueError(f"piece hosted on {piece.host} is not an edge")
-        length = float(cx.chart(piece.host).model[1, 0])
-        lo, hi = sorted((piece.points[0, 0], piece.points[1, 0]))
-        if abs(lo) > 1e-6 or abs(hi - length) > 1e-6:
+        if not covers_edge(cx, piece.host, [piece]):
             raise ValueError(f"piece on {piece.host} does not cover the edge")
         edges.append(piece.host)
     return edges

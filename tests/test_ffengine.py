@@ -23,7 +23,6 @@ from symgeo.ffengine import (
     flat_torus_complex,
     is_closed,
     normalize_chain,
-    radial_project,
     random_loop_chain,
     remainder_decomposition,
     representative_edge_cycle,
@@ -34,7 +33,7 @@ from symgeo.ffengine import (
 )
 from symgeo.ffengine import deform, homology
 from symgeo.ffengine import torus as torus_mod
-from symgeo.ffengine.chains import DEGENERATE_GRAM, normalize_host, piece_volume
+from symgeo.ffengine.chains import DEGENERATE_GRAM, normalize_host, piece_volume, piece_volumes
 from symgeo.ffengine.complexes import simplex_gram_det, simplex_volume
 from symgeo.ffengine.deform import project_piece
 
@@ -193,7 +192,7 @@ class TestChains:
         )
 
 
-def _ref_chain_pieces(k, pieces, reduce=True):
+def _ref_chain_pieces(k, pieces):
     """Oracle: the dict-based PolyChain constructor, one piece at a time."""
     kept: dict = {}
     for piece in pieces:
@@ -201,15 +200,12 @@ def _ref_chain_pieces(k, pieces, reduce=True):
         if simplex_gram_det(pts) < DEGENERATE_GRAM:
             continue
         piece = Piece(piece.host, pts)
-        if reduce:
-            rounded = np.round(pts, 9) + 0.0
-            key = (piece.host, tuple(sorted(tuple(row) for row in rounded)))
-            if key in kept:
-                del kept[key]
-            else:
-                kept[key] = piece
+        rounded = np.round(pts, 9) + 0.0
+        key = (piece.host, tuple(sorted(tuple(row) for row in rounded)))
+        if key in kept:
+            del kept[key]
         else:
-            kept[id(piece)] = piece
+            kept[key] = piece
     return list(kept.values())
 
 
@@ -250,15 +246,17 @@ class TestArrayChains:
     piece-at-a-time forms they replaced."""
 
     @settings(max_examples=200, deadline=None)
-    @given(_chain_cases(), st.booleans())
-    def test_same_pieces_as_dict_constructor(self, case, reduce):
+    @given(_chain_cases())
+    def test_same_pieces_as_dict_constructor(self, case):
         k, pieces = case
-        chain = PolyChain(k, pieces, reduce=reduce)
-        ref = _ref_chain_pieces(k, pieces, reduce=reduce)
+        chain = PolyChain(k, pieces)
+        ref = _ref_chain_pieces(k, pieces)
         assert [p.host for p in chain.pieces] == [p.host for p in ref]
         for got, want in zip(chain.pieces, ref):
             assert got.points.shape == want.points.shape
             assert got.points.tobytes() == want.points.tobytes()
+        assert chain.volumes == [piece_volume(p) for p in ref]
+        assert chain.volumes == piece_volumes(chain.pieces).tolist()
         assert chain.volume() == float(sum(piece_volume(p) for p in ref))
 
     def test_normalized_chain_returned_unchanged(self, torus8):
@@ -311,21 +309,14 @@ class TestArrayChains:
         assert rebuilt[0] <= 3
 
 
-class TestRadialProject:
-    def test_boundary_piece_unchanged(self, unit_square):
-        cell = (0, 1, 2)
-        amb = np.array([[0.3, 0.0], [0.8, 0.0]])
-        piece = Piece(cell, unit_square.to_chart(cell, amb))
-        out = radial_project(unit_square, cell, [0.5, 0.25], piece)
-        assert len(out) == 1 and out[0] is piece
-
+class TestProjectPiece:
     def test_point_projection_collinear(self, unit_square):
         cell = (0, 1, 2)
         x0_amb = np.array([0.6, 0.3])
         edge_mid = np.array([0.5, 0.0])  # midpoint of the bottom edge
         point_amb = (x0_amb + edge_mid) / 2.0
         piece = Piece(cell, unit_square.to_chart(cell, point_amb[None, :]))
-        out = radial_project(
+        out, _, _ = project_piece(
             unit_square, cell, unit_square.to_chart(cell, x0_amb[None, :])[0], piece
         )
         assert len(out) == 1
@@ -336,16 +327,15 @@ class TestRadialProject:
         cell = (0, 1, 2)
         amb = np.array([[0.4, 0.2], [0.8, 0.4]])
         piece = Piece(cell, unit_square.to_chart(cell, amb))
-        mid = unit_square.to_chart(cell, ((amb[0] + amb[1]) / 2)[None, :])[0]
-        with pytest.raises(ValueError):
-            radial_project(unit_square, cell, mid, piece)
+        mid = unit_square.to_chart(cell, ((amb[0] + amb[1]) / 2)[None, :])
+        assert _lone(unit_square, cell, mid, [piece]).clear.tolist() == [[False]]
 
     def test_segment_splits_across_facets(self, unit_square):
         cell = (0, 1, 2)
         amb = np.array([[0.55, 0.05], [0.95, 0.55]])
         piece = Piece(cell, unit_square.to_chart(cell, amb))
         center = unit_square.to_chart(cell, np.array([[0.7, 0.3]]))[0]
-        out = radial_project(unit_square, cell, center, piece)
+        out, _, _ = project_piece(unit_square, cell, center, piece)
         assert len(out) >= 2
         hosts = {p.host for p in out}
         assert all(len(h) == 2 for h in hosts)
@@ -406,27 +396,21 @@ class TestRadialProject:
 
 
 class TestSelectCenter:
-    def test_empty_pieces_barycenter(self, unit_square):
+    def test_rejects_empty_and_full_dimensional_pieces(self, unit_square):
         cell = (0, 1, 2)
-        info = select_center(unit_square, cell, [], rng=1)
-        bary = unit_square.barycentric(cell, info.point[None, :])[0]
-        assert np.allclose(bary, 1.0 / 3.0)
+        half = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5]])
+        piece = Piece(cell, unit_square.to_chart(cell, half))
+        for pieces in ([], [piece]):
+            with pytest.raises(ValueError, match="dimension below"):
+                select_center(unit_square, cell, pieces, rng=5)
 
     def test_small_piece_quick_success(self, unit_square):
         cell = (0, 1, 2)
         amb = np.array([[0.64, 0.32], [0.68, 0.34]])
         piece = Piece(cell, unit_square.to_chart(cell, amb))
-        info = select_center(unit_square, cell, [piece], c_target=10.0,
-                            max_tries=10, rng=3)
+        info = select_center(unit_square, cell, [piece], c_target=10.0, rng=3)
         assert info.tries <= 10
         assert info.ratio <= 10.0
-
-    def test_full_dim_case(self, unit_square):
-        cell = (0, 1, 2)
-        half = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5]])
-        piece = Piece(cell, unit_square.to_chart(cell, half))
-        info = select_center(unit_square, cell, [piece], rng=5)
-        assert info.ratio == 0.0
 
     def test_deterministic(self, unit_square):
         cell = (0, 1, 2)
@@ -715,7 +699,8 @@ gf2_matrices = st.integers(1, 6).flatmap(
 
 
 class TestGf2Engine:
-    """The GF(2) rank and solve against brute-force span enumeration."""
+    """The GF(2) rank and membership test against brute-force span
+    enumeration."""
 
     @given(gf2_matrices)
     def test_rank_matches_span_size(self, rows):
@@ -724,11 +709,12 @@ class TestGf2Engine:
         assert homology.gf2_rank(mat) == homology.gf2_rank(mat.T)
 
     @given(gf2_matrices, st.data())
-    def test_solve_matches_column_span(self, rows, data):
+    def test_contains_matches_column_span(self, rows, data):
         mat = np.array(rows, dtype=np.uint8)
         target = data.draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
         expected = _pack(target) in _gf2_span(mat.T)
-        assert homology.gf2_solve(mat, np.array(target, dtype=np.uint8)) == expected
+        space = homology.Gf2RowSpace(mat.T)
+        assert space.contains(np.array(target, dtype=np.uint8)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -1209,6 +1195,30 @@ class TestFFGolden:
         assert result.total_track == pytest.approx(case["total_track"], rel=1e-9, abs=0)
         assert result.max_cell_ratio == pytest.approx(case["max_cell_ratio"], rel=1e-9, abs=0)
 
+    @pytest.mark.parametrize("case", _GOLDEN, ids=lambda c: f"seed{c['seed']}-c{c['c_target']}")
+    def test_center_selection_gets_pieces_below_the_cell_dimension(self, torus8, monkeypatch,
+                                                                   case):
+        # why select_centers needs no path for empty cells or for pieces as
+        # large as their cell: ff_step never hands it either
+        groups = []
+        select = deform.select_centers
+
+        def recording(cx, cells, pieces, *args, **kwargs):
+            groups.extend(zip(cells, pieces))
+            return select(cx, cells, pieces, *args, **kwargs)
+
+        monkeypatch.setattr(deform, "select_centers", recording)
+        chain, _ = random_loop_chain(torus8, seed=case["seed"],
+                                     winding=tuple(case["winding"]))
+        try:
+            ff_deform(torus8, chain, seed=case["seed"], c_target=case["c_target"])
+        except CenterSelectionError:
+            assert "error" in case
+        assert groups
+        for cell, pieces in groups:
+            assert pieces
+            assert all(p.host == cell and len(p.points) < len(cell) for p in pieces)
+
 
 # ---------------------------------------------------------------------------
 # certification in work proportional to the chain, against the forms it
@@ -1466,6 +1476,27 @@ class TestChainSizedCertification:
     def test_is_cycle_rejects_a_vector_of_the_wrong_length(self, torus8):
         with pytest.raises(ValueError, match="192 1-cells"):
             homology.is_cycle(torus8, 1, np.zeros(191, dtype=np.uint8))
+
+
+class TestEdgeCoverage:
+    """The collapse keeps an edge whole by the same rule the suite's
+    whole-edge check accepts it by (deform.covers_edge)."""
+
+    @pytest.mark.parametrize("radius, edge, gap, covered", [
+        (10.0, (0, 1), 5e-6, True),     # edge of length 7.654
+        (1.0, (0, 9), 1.05e-6, True),   # diagonal of length 1.082
+        (10.0, (0, 1), 1e-5, False),
+    ])
+    def test_collapse_and_certificate_agree(self, radius, edge, gap, covered):
+        cx = flat_torus_complex(8, radius=radius)
+        piece = Piece(edge, np.array([[gap], [cx.chart(edge).model[1, 0]]]))
+        assert deform.covers_edge(cx, edge, [piece]) == covered
+        chain = PolyChain(1, [piece])
+        if covered:
+            assert whole_edges_of(cx, chain) == [edge]
+        else:
+            with pytest.raises(ValueError, match="does not cover the edge"):
+                whole_edges_of(cx, chain)
 
 
 def _ref_torus_param(n):
