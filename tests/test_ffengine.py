@@ -309,7 +309,21 @@ class TestArrayChains:
         assert rebuilt[0] <= 3
 
 
-class TestProjectPiece:
+class TestRadialProject:
+    """Radial projection of one piece from a center (project_piece)."""
+
+    def test_boundary_piece_unchanged(self, unit_square):
+        cell = (0, 1, 2)
+        amb = np.array([[0.3, 0.0], [0.8, 0.0]])
+        piece = Piece(cell, unit_square.to_chart(cell, amb))
+        center = unit_square.to_chart(cell, np.array([[0.5, 0.25]]))[0]
+        out, proj, track = project_piece(unit_square, cell, center, piece)
+        assert [p.host for p in out] == [(0, 1)]
+        assert np.allclose(unit_square.to_ambient(out[0].host, out[0].points), amb,
+                           rtol=0, atol=1e-12)
+        assert proj == pytest.approx(0.5, rel=0, abs=1e-12)
+        assert track == pytest.approx(0.0, abs=1e-12)
+
     def test_point_projection_collinear(self, unit_square):
         cell = (0, 1, 2)
         x0_amb = np.array([0.6, 0.3])
@@ -396,13 +410,16 @@ class TestProjectPiece:
 
 
 class TestSelectCenter:
-    def test_rejects_empty_and_full_dimensional_pieces(self, unit_square):
+    def test_empty_pieces_rejected(self, unit_square):
+        with pytest.raises(ValueError, match="dimension below"):
+            select_center(unit_square, (0, 1, 2), [], rng=1)
+
+    def test_full_dim_pieces_rejected(self, unit_square):
         cell = (0, 1, 2)
         half = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5]])
         piece = Piece(cell, unit_square.to_chart(cell, half))
-        for pieces in ([], [piece]):
-            with pytest.raises(ValueError, match="dimension below"):
-                select_center(unit_square, cell, pieces, rng=5)
+        with pytest.raises(ValueError, match="dimension below"):
+            select_center(unit_square, cell, [piece], rng=5)
 
     def test_small_piece_quick_success(self, unit_square):
         cell = (0, 1, 2)
@@ -709,7 +726,7 @@ class TestGf2Engine:
         assert homology.gf2_rank(mat) == homology.gf2_rank(mat.T)
 
     @given(gf2_matrices, st.data())
-    def test_contains_matches_column_span(self, rows, data):
+    def test_solve_matches_column_span(self, rows, data):
         mat = np.array(rows, dtype=np.uint8)
         target = data.draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
         expected = _pack(target) in _gf2_span(mat.T)
