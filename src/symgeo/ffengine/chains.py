@@ -54,11 +54,6 @@ def _per_shape(fn: Callable, pieces: Sequence[Piece]) -> list:
     return out
 
 
-def piece_volumes(pieces: Sequence[Piece]) -> np.ndarray:
-    """k-volume of each piece, one stacked simplex_volume call per shape."""
-    return np.array(_per_shape(lambda pts, _: simplex_volume(pts).tolist(), pieces))
-
-
 def _keys_and_dets(pts: np.ndarray, _) -> list:
     # the sorted rounded points, a piece's Z/2 key with its host, and the
     # Gram determinant of each piece
@@ -94,6 +89,8 @@ class PolyChain:
         #: simplex_volume of each piece, from the determinant already taken
         self.volumes: list[float] = [math.sqrt(max(det, 0.0)) / scale
                                      for _, det in kept.values()]
+        #: the complex normalize_chain found every piece lowest-hosted in
+        self.normalized_in: GeoComplex | None = None
 
     def __len__(self):
         return len(self.pieces)
@@ -133,7 +130,8 @@ def normalize_chain(cx: GeoComplex, chain: PolyChain) -> PolyChain:
 
     The chain itself is returned when no piece has a dead barycentric
     coordinate; otherwise only the flagged pieces are re-hosted and the
-    chain is rebuilt, so pieces that now share a face cancel mod 2.
+    chain is rebuilt, so pieces that now share a face cancel mod 2.  The
+    returned chain's ``normalized_in`` is cx.
     """
 
     def dead(pts, group):
@@ -141,12 +139,13 @@ def normalize_chain(cx: GeoComplex, chain: PolyChain) -> PolyChain:
         return (np.abs(bary) <= _CONTAIN_TOL).all(axis=1).any(axis=1).tolist()
 
     flagged = [i for i, f in enumerate(_per_shape(dead, chain.pieces)) if f]
-    if not flagged:
-        return chain
-    pieces = list(chain.pieces)
-    for i in flagged:
-        pieces[i] = normalize_host(cx, pieces[i])
-    return PolyChain(chain.k, pieces)
+    if flagged:
+        pieces = list(chain.pieces)
+        for i in flagged:
+            pieces[i] = normalize_host(cx, pieces[i])
+        chain = PolyChain(chain.k, pieces)
+    chain.normalized_in = cx
+    return chain
 
 
 def validate_chain(cx: GeoComplex, chain: PolyChain, tol: float = _CONTAIN_TOL):

@@ -29,10 +29,28 @@ def simplex_gram_det(points: np.ndarray):
     (1 for a single point); the squared k-volume times (k!)^2.
 
     ``points`` is (k+1, N) for one simplex, which gives a float, or a stack
-    (..., k+1, N) of simplices, which gives an array of shape (...).
+    (..., k+1, N) of simplices, which gives an array of shape (...).  For
+    k <= 2 the determinant is taken in closed form from elementwise products
+    of the edges e_i (g_ij = e_i . e_j): g00 for one edge, g00 g11 - g01^2
+    for two, and for two in the plane (N = 2) the squared cross product;
+    larger simplices go through LAPACK.
     """
-    if points.shape[-2] == 1:
+    k = points.shape[-2] - 1
+    if k == 0:
         det = np.ones(points.shape[:-2])
+    elif k <= 2:
+        e0 = points[..., 1, :] - points[..., 0, :]
+        det = (e0 * e0).sum(axis=-1)
+        if k == 2:
+            e1 = points[..., 2, :] - points[..., 0, :]
+            if points.shape[-1] == 2:
+                # in the plane the determinant is the squared cross product,
+                # free of the cancellation in g00 g11 - g01^2 for slivers
+                det = e0[..., 0] * e1[..., 1] - e0[..., 1] * e1[..., 0]
+                det = det * det
+            else:
+                g01 = (e0 * e1).sum(axis=-1)
+                det = det * (e1 * e1).sum(axis=-1) - g01 * g01
     else:
         edges = points[..., 1:, :] - points[..., :1, :]
         det = np.linalg.det(edges @ np.swapaxes(edges, -1, -2))
@@ -103,6 +121,7 @@ class GeoComplex:
             d: {c: i for i, c in enumerate(cs)} for d, cs in self.cells.items()
         }
         self._charts: dict[Cell, Chart] = {}
+        self._facet_maps: dict[Cell, tuple[np.ndarray, np.ndarray]] = {}
         self._top_cofaces: dict[Cell, tuple[Cell, ...]] = {}
         self._min_volume: dict[int, float] = {}
         self._cofacets: dict[Cell, list[Cell]] = {}
@@ -167,6 +186,21 @@ class GeoComplex:
         chart = Chart(origin, basis, model, solver)
         self._charts[cell] = chart
         return chart
+
+    def facet_maps(self, cell: Cell) -> tuple[np.ndarray, np.ndarray]:
+        """Affine maps from the cell's chart to the charts of its facets,
+        built once per cell: a point with chart coordinates y on facet j (the
+        facet without the cell's j-th vertex) has facet chart coordinates
+        y @ linear[j] + offset[j].  ``linear`` is (d+1, d, d-1) and ``offset``
+        (d+1, d-1); the map is convert_coords composed into one step."""
+        maps = self._facet_maps.get(cell)
+        if maps is None:
+            chart = self.chart(cell)
+            facets = [self.chart(cell[:j] + cell[j + 1:]) for j in range(len(cell))]
+            maps = (np.stack([chart.basis.T @ f.basis for f in facets]),
+                    np.stack([(chart.origin - f.origin) @ f.basis for f in facets]))
+            self._facet_maps[cell] = maps
+        return maps
 
     def to_chart(self, cell: Cell, pts: np.ndarray) -> np.ndarray:
         return self.chart(cell).to_chart(pts)
@@ -267,31 +301,33 @@ def check_uniform(cx: GeoComplex, r: float, delta: float) -> dict:
     Diameter at most r, chart distortion at most 1 + delta, and cell volume
     at least delta * r^dim.  Returns the check report "uniformity": its
     ``max_abs_err`` is the worst violation of the three conditions (0.0 when
-    all hold) and its detail the worst offender of each.  A complex with no
-    cells raises ValueError, as does a degenerate cell.
+    all hold) and its detail the worst offender of each.  Congruent cells
+    have volume margins equal up to rounding, so the worst volume is the
+    first cell, in cell order, whose margin is within 1e-12 (relative) of the
+    least.  A complex with no cells raises ValueError, as does a degenerate
+    cell.
     """
     if not cx.cells:
         raise ValueError("complex has no cells")
     worst = {
         "diameter": {"value": -math.inf, "bound": r},
         "distortion": {"value": -math.inf, "bound": 1.0 + delta},
-        "volume": {"margin": math.inf},
     }
+    volumes = []  # (margin, cell, volume, bound) in cell order
     for d, cells in cx.cells.items():
         for cell in cells:
             diam = cx.cell_diameter(cell)
             dist = cx.chart_distortion(cell)
-            vol = cx.cell_volume(cell)
             if diam > worst["diameter"]["value"]:
                 worst["diameter"].update(cell=list(cell), value=diam, ok=diam <= r)
             if dist > worst["distortion"]["value"]:
                 worst["distortion"].update(cell=list(cell), value=dist, ok=dist <= 1.0 + delta)
-            margin = vol - delta * r ** d
-            if margin < worst["volume"]["margin"]:
-                worst["volume"].update(
-                    cell=list(cell), margin=margin, value=vol, bound=delta * r ** d,
-                    ok=margin >= 0,
-                )
+            vol = cx.cell_volume(cell)
+            volumes.append((vol - delta * r ** d, cell, vol, delta * r ** d))
+    least = min(v[0] for v in volumes)
+    margin, cell, vol, bound = next(v for v in volumes if v[0] - least <= 1e-12 * abs(least))
+    worst["volume"] = {"margin": margin, "cell": list(cell), "value": vol, "bound": bound,
+                       "ok": margin >= 0}
     violation = max(0.0, worst["diameter"]["value"] - r,
                     worst["distortion"]["value"] - (1.0 + delta), -worst["volume"]["margin"])
     return check_report("uniformity", {"r": r, "delta": delta}, violation,

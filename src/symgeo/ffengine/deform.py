@@ -15,7 +15,8 @@ every m-cell of a level at once: the cells' barycentric solvers and charts
 are stacked, each cell's pieces are padded to a common count under a mask,
 barycentrics are an (L, C, m+1) array, the exit-facet constraints an
 (L, C, P, m+1, m+1) tensor, interval clipping for curves and the clearance
-test are array expressions, and the volumes come from one stacked
+test are array expressions, the images reach the facet charts by one
+affine map per (cell, facet), and the volumes come from one stacked
 simplex-volume call (only the clipping of triangles loops).  select_centers
 draws a block of candidates per cell, each from the cell's own seeded
 stream, scores all blocks with one kernel call, and applies the acceptance
@@ -27,7 +28,8 @@ the one-cell and one-piece forms of the two calls.
 
 Homotopy tracks are exact cone-volume differences: the region swept by
 y -> (1-t) y + t p(y) is the cone over the projected part minus the cone over
-the part itself, both measured from the center.
+the part itself, both measured from the center; over a curve in a 2-cell
+each cone is a triangle, measured by a cross product.
 
 At the chain's own dimension the only choice is whether a cell is fully
 covered (the piece stays, as a whole cell) or not (the radial collapse kills
@@ -43,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chains import Piece, PolyChain, normalize_chain, piece_volume, piece_volumes
+from .chains import Piece, PolyChain, normalize_chain, piece_volume
 from .complexes import Cell, GeoComplex, barycentric, simplex_volume
 
 #: centers must keep this distance from pieces and their affine hulls
@@ -244,9 +246,9 @@ def _stack_pieces(pieces: Sequence[Sequence[Piece]]):
     pieces filling its slots with copies of its first, and the (L, P) mask
     of the slots that hold a piece of their own."""
     P = max(map(len, pieces))
-    pts = np.stack([np.stack([p.points for p in ps] + [ps[0].points] * (P - len(ps)))
-                    for ps in pieces])
-    return pts, np.arange(P) < np.array([len(ps) for ps in pieces])[:, None]
+    pts = np.stack([p.points for ps in pieces for p in [*ps, *[ps[0]] * (P - len(ps))]])
+    filled = np.arange(P) < np.array([len(ps) for ps in pieces])[:, None]
+    return pts.reshape((len(pieces), P) + pts.shape[1:]), filled
 
 
 def project_pieces(cx: GeoComplex, cells: Sequence[Cell], centers: np.ndarray,
@@ -272,9 +274,7 @@ def project_pieces(cx: GeoComplex, cells: Sequence[Cell], centers: np.ndarray,
     P, k = pts.shape[1], pts.shape[2] - 1
     if k > 2:
         raise NotImplementedError("exit-facet clipping supports pieces of dim <= 2")
-    charts = [cx.chart(cell) for cell in cells]
-    facets = [[cx.chart(cell[:j] + cell[j + 1:]) for j in range(J)] for cell in cells]
-    solver = np.stack([chart.bary_solver for chart in charts])      # (L, J, J)
+    solver = np.stack([cx.chart(cell).bary_solver for cell in cells])  # (L, J, J)
 
     def bary(coords):
         # every cell's chart.barycentric at once
@@ -305,12 +305,12 @@ def project_pieces(cx: GeoComplex, cells: Sequence[Cell], centers: np.ndarray,
         exits = ~(live & (denom <= 0)).any(axis=(2, 3, 4))
         apex = x[:, :, None, None, None, :]
         image = apex + (c_exit / denom)[..., None] * (part - apex)
-        # cell chart -> ambient -> facet chart, as GeoComplex.convert_coords
-        origin = np.array([ch.origin for ch in charts])[:, None, None, None, None]
-        ambient = origin + image @ np.array([ch.basis.T for ch in charts])[:, None, None, None]
-        f_origin = np.array([[f.origin for f in fs] for fs in facets])[:, None, None, :, None]
-        f_basis = np.array([[f.basis for f in fs] for fs in facets])[:, None, None]
-        images = (ambient - f_origin) @ f_basis                     # (L, C, P, J, V, m-1)
+        # cell chart -> facet chart, in one affine step per (cell, facet)
+        maps = [cx.facet_maps(cell) for cell in cells]
+        linear = np.stack([a for a, _ in maps])[:, None, None]      # (L, 1, 1, J, m, m-1)
+        offset = np.stack([b for _, b in maps])[:, None, None, :, None]
+        images = image @ linear + offset                            # (L, C, P, J, V, m-1)
+        images = np.where(live[..., None], images, 0.0)             # 0 past each count
 
         fan = _fan(k, V)
         in_fan = counts[..., None] > fan[:, -1]                     # (L, C, P, J, S)
@@ -321,10 +321,13 @@ def project_pieces(cx: GeoComplex, cells: Sequence[Cell], centers: np.ndarray,
         else:
             # the track of a region is the cone over its image minus the cone
             # over the region itself, both from the center
-            apex = np.broadcast_to(apex[..., None, :], in_fan.shape + (1, m))
-
             def cones(verts):
-                cone = np.concatenate([verts[..., fan, :], apex], axis=-2)
+                if m == 2:
+                    # k = 1: the cone over a segment is a triangle in the plane
+                    a, b = np.moveaxis(verts - apex, -2, 0)
+                    return np.abs(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]) / 2.0
+                apexes = np.broadcast_to(apex[..., None, :], in_fan.shape + (1, m))
+                cone = np.concatenate([verts[..., fan, :], apexes], axis=-2)
                 return _running_sum(np.where(in_fan, simplex_volume(cone), 0.0))
 
             swept = np.where(counts > 0, cones(image) - cones(part), 0.0)
@@ -428,15 +431,16 @@ class _CenterSearch:
 
 
 def select_centers(cx: GeoComplex, cells: Sequence[Cell],
-                   pieces: Sequence[Sequence[Piece]], rngs: Sequence,
-                   c_target: float | None = None):
+                   pieces: Sequence[Sequence[Piece]], totals: Sequence[float],
+                   rngs: Sequence, c_target: float | None = None):
     """Seeded rejection sampling of a projection center in each of the cells
     of one dimension m, cell l drawing from rngs[l].
 
-    Every cell must hold pieces, all of one dimension k < m.  Each cell
-    accepts the first candidate whose projected volume and homotopy track
-    are both at most c_target times its piece volume.  Without an explicit
-    c_target, 4x the median ratio of its first 8 valid candidates is used.
+    Every cell must hold pieces, all of one dimension k < m, of total
+    k-volume totals[l].  Each cell accepts the first candidate whose
+    projected volume and homotopy track are both at most c_target times
+    that total.  Without an explicit c_target, 4x the median ratio of its
+    first 8 valid candidates is used.
     Every cell draws a block of candidates, and one project_pieces call
     scores the blocks of all cells still searching; the choices are those of
     drawing each cell's candidates one at a time.  Returns the cells'
@@ -448,11 +452,8 @@ def select_centers(cx: GeoComplex, cells: Sequence[Cell],
     m = len(cells[0]) - 1 if cells else 0
     if not all(pieces) or any(len(ps[0].points) > m for ps in pieces):
         raise ValueError("every cell needs pieces of a dimension below the cell's")
-    volumes = iter(piece_volumes([p for ps in pieces for p in ps]).tolist())
-    searches = [
-        _CenterSearch(cx, cell, ps, rng, c_target, sum(next(volumes) for _ in ps))
-        for cell, ps, rng in zip(cells, pieces, rngs)
-    ]
+    searches = [_CenterSearch(cx, cell, ps, rng, c_target, total)
+                for cell, ps, total, rng in zip(cells, pieces, totals, rngs)]
     active = searches
     kernel_calls = 0
     while active:
@@ -477,8 +478,9 @@ def select_centers(cx: GeoComplex, cells: Sequence[Cell],
 def select_center(cx: GeoComplex, cell: Cell, pieces: Sequence[Piece],
                   c_target: float | None = None, rng=None) -> CenterInfo:
     """select_centers for one cell; rng is a Generator or a seed."""
-    return select_centers(cx, [cell], [list(pieces)], [np.random.default_rng(rng)],
-                          c_target)[0][0]
+    total = sum(simplex_volume(p.points) for p in pieces)
+    return select_centers(cx, [cell], [list(pieces)], [total],
+                          [np.random.default_rng(rng)], c_target)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -600,20 +602,25 @@ def ff_step(cx: GeoComplex, chain: PolyChain, m: int, seed: int,
     boundary from the center select_centers chose for its cell, reusing the
     images it scored that center with; for m = k cells are kept exactly when
     covered.  Pieces hosted in the (m-1)-skeleton pass through unchanged.
-    Returns the new chain, the level's StepTrace (with its homotopy-track
-    volume), the cells kept whole and the largest accepted center ratio.
+    The chain is normalized first unless normalize_chain already returned it
+    for cx, and the new chain is normalized.  Returns the new chain, the
+    level's StepTrace (with its homotopy-track volume), the cells kept whole
+    and the largest accepted center ratio.
     """
     before = chain.volume()
-    chain = normalize_chain(cx, chain)
+    if chain.normalized_in is not cx:
+        chain = normalize_chain(cx, chain)
     if chain.max_host_dim() > m:
         raise ValueError(f"chain is not supported in the {m}-skeleton")
     if m < chain.k:
         raise ValueError("level below the chain dimension")
     passthrough = [p for p in chain.pieces if len(p.host) - 1 < m]
     groups: dict[Cell, list[Piece]] = {}
-    for p in chain.pieces:
+    totals: dict[Cell, float] = {}
+    for p, volume in zip(chain.pieces, chain.volumes):
         if len(p.host) - 1 == m:
             groups.setdefault(p.host, []).append(p)
+            totals[p.host] = totals.get(p.host, 0.0) + volume
     cells = sorted(groups)
 
     new_pieces = list(passthrough)
@@ -631,7 +638,7 @@ def ff_step(cx: GeoComplex, chain: PolyChain, m: int, seed: int,
             # (k-1)-skeleton where it carries no k-volume
     else:
         infos, kernel_calls = select_centers(
-            cx, cells, [groups[cell] for cell in cells],
+            cx, cells, [groups[cell] for cell in cells], [totals[cell] for cell in cells],
             [_cell_rng(seed, m, cell) for cell in cells], c_target)
     for info in infos:
         max_ratio = max(max_ratio, info.ratio)
@@ -653,7 +660,8 @@ def ff_deform(cx: GeoComplex, chain: PolyChain, seed: int,
 
     Descends one skeleton level at a time; the final chain is a union of
     whole k-cells (cells the chain covered) while everything else has been
-    collapsed into the (k-1)-skeleton.
+    collapsed into the (k-1)-skeleton.  The input is normalized once; each
+    level's output is already normalized for the next.
     """
     if not chain.k < cx.dim:
         raise ValueError("chain dimension must be below the complex dimension")

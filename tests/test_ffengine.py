@@ -2,11 +2,12 @@ import gc
 import json
 import math
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from symgeo.ffengine import (
@@ -26,6 +27,7 @@ from symgeo.ffengine import (
     random_loop_chain,
     remainder_decomposition,
     representative_edge_cycle,
+    run_deformation_suite,
     select_center,
     validate_chain,
     vanishing_threshold,
@@ -33,7 +35,7 @@ from symgeo.ffengine import (
 )
 from symgeo.ffengine import deform, homology
 from symgeo.ffengine import torus as torus_mod
-from symgeo.ffengine.chains import DEGENERATE_GRAM, normalize_host, piece_volume, piece_volumes
+from symgeo.ffengine.chains import DEGENERATE_GRAM, _per_shape, normalize_host, piece_volume
 from symgeo.ffengine.complexes import simplex_gram_det, simplex_volume
 from symgeo.ffengine.deform import project_piece
 
@@ -144,6 +146,17 @@ class TestCheckUniform:
         with pytest.raises(ValueError, match="no cells"):
             check_uniform(cx, r=1.2, delta=0.2)
 
+    def test_congruent_cells_report_the_first(self, torus8):
+        # every triangle of the torus has the same area, up to rounding
+        # that differs from cell to cell
+        report = check_uniform(torus8, r=1.2, delta=0.2)
+        triangles = torus8.cells_of_dim(2)
+        margins = [torus8.cell_volume(c) - 0.2 * 1.2 ** 2 for c in triangles]
+        assert len(set(margins)) > 1
+        worst = report["detail"]["worst"]["volume"]
+        assert worst["cell"] == list(triangles[0])
+        assert worst["margin"] == margins[0] == pytest.approx(min(margins), rel=1e-12)
+
 
 class TestChains:
     def test_volume_unit_square_chain(self, unit_square):
@@ -190,6 +203,98 @@ class TestChains:
         assert np.allclose(
             unit_square.to_ambient(back.pieces[0].host, back.pieces[0].points), amb
         )
+
+
+def _lapack_gram_det(points):
+    """Oracle: the Gram determinant of a stack of simplices through LAPACK,
+    as simplex_gram_det took it for every k before the closed forms."""
+    if points.shape[-2] == 1:
+        return np.ones(points.shape[:-2])
+    edges = points[..., 1:, :] - points[..., :1, :]
+    return np.linalg.det(edges @ np.swapaxes(edges, -1, -2))
+
+
+def _exact_det(rows) -> Fraction:
+    # Gaussian elimination over the rationals
+    m = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot], det = m[pivot], m[c], -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
+
+
+#: coordinates 0 or of magnitude above 1e-6, so that no product underflows
+_COORDS = st.floats(-10.0, 10.0).filter(lambda v: v == 0.0 or abs(v) > 1e-6)
+
+
+@st.composite
+def _simplex_stacks(draw, elements):
+    """A stack (S, k+1, N) of simplices, k = 0..3 and N >= k."""
+    k = draw(st.integers(0, 3))
+    n = draw(st.integers(max(k, 1), 4))
+    size = draw(st.integers(1, 4))
+    flat = draw(st.lists(elements, min_size=size * (k + 1) * n, max_size=size * (k + 1) * n))
+    return np.array(flat, dtype=float).reshape(size, k + 1, n)
+
+
+class TestSimplexGramDet:
+    """The closed-form Gram determinants (k <= 2) against LAPACK and exact
+    rational arithmetic."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_simplex_stacks(_COORDS))
+    def test_stack_equals_lapack(self, pts):
+        got, want = simplex_gram_det(pts), _lapack_gram_det(pts)
+        assert got.shape == want.shape == pts.shape[:1]
+        # both round at about eps times the product of the squared edge
+        # lengths (Hadamard's bound on the determinant)
+        edges = pts[:, 1:] - pts[:, :1]
+        scale = np.prod((edges * edges).sum(axis=-1), axis=-1)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        for one, det in zip(pts, got):
+            assert simplex_gram_det(one) == det
+
+    @settings(max_examples=300, deadline=None)
+    @given(_simplex_stacks(st.integers(-6, 6)))
+    def test_integer_simplices_equal_exact_determinants(self, pts):
+        k = pts.shape[1] - 1
+        for one, det in zip(pts, simplex_gram_det(pts)):
+            edges = (one[1:] - one[0]).astype(int).tolist()
+            exact = _exact_det([[sum(a * b for a, b in zip(u, v)) for v in edges]
+                                for u in edges])
+            if k <= 2:
+                assert det == exact
+            else:
+                assert det == pytest.approx(float(exact), rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_simplex_stacks(_COORDS),
+           st.integers(-8, 8), st.floats(0.01, 100.0))
+    def test_scales_as_s_to_the_2k(self, pts, e, s):
+        k = pts.shape[1] - 1
+        det = simplex_gram_det(pts)
+        edges = pts[:, 1:] - pts[:, :1]
+        scale = np.prod((edges * edges).sum(axis=-1), axis=-1)
+        for f in (2.0 ** e, s):
+            assert np.all(np.abs(simplex_gram_det(f * pts) - f ** (2 * k) * det)
+                          <= 1e-12 * f ** (2 * k) * scale)
+        if k <= 2:
+            # a power of two scales every rounding step of a closed form exactly
+            assert np.array_equal(simplex_gram_det(2.0 ** e * pts), 4.0 ** (e * k) * det)
+
+
+def piece_volumes(pieces):
+    """Oracle: the k-volume of each piece, one stacked simplex_volume call
+    per point shape."""
+    return np.array(_per_shape(lambda pts, _: simplex_volume(pts).tolist(), pieces))
 
 
 def _ref_chain_pieces(k, pieces):
@@ -283,6 +388,26 @@ class TestArrayChains:
         assert [p.host for p in got.pieces] == [p.host for p in want.pieces]
         assert all(a.points.tobytes() == b.points.tobytes()
                    for a, b in zip(got.pieces, want.pieces))
+
+    def test_suite_takes_no_lapack_determinant_and_normalizes_once_per_level(
+            self, monkeypatch):
+        cx = flat_torus_complex(8)
+        calls = [0]
+        normalize = deform.normalize_chain
+
+        def counting(*args):
+            calls[0] += 1
+            return normalize(*args)
+
+        def no_det(*args, **kwargs):
+            raise AssertionError("np.linalg.det was called")
+
+        monkeypatch.setattr(np.linalg, "det", no_det)
+        monkeypatch.setattr(deform, "normalize_chain", counting)
+        assert run_deformation_suite(cx, n_chains=2)["pass"]
+        # a loop on the torus takes two levels (m = 2, 1): the input is
+        # normalized once, and each level normalizes its output
+        assert calls[0] == 2 * (2 + 1)
 
     def test_two_level_deformation_rebuilds_at_most_three_chains(self, torus8, monkeypatch):
         from symgeo.ffengine import chains
@@ -599,8 +724,9 @@ class TestFFDeform:
         weights = (first, np.array([[0.3, 0.3, 0.4]]))
         pieces = [[Piece(cell, w @ unit_square.chart(cell).model)]
                   for cell, w in zip(cells, weights)]
+        totals = [sum(piece_volumes(ps).tolist()) for ps in pieces]
         infos, calls = deform.select_centers(
-            unit_square, cells, pieces, [np.random.default_rng(s) for s in (5, 6)])
+            unit_square, cells, pieces, totals, [np.random.default_rng(s) for s in (5, 6)])
         assert calls == 2
         assert [i.rejected_clearance for i in infos] == [1, 0]
         for cell, ps, seed, info in zip(cells, pieces, (5, 6), infos):
@@ -994,6 +1120,11 @@ class TestProjectPieces:
 
     @settings(max_examples=60, deadline=None)
     @given(_LEVEL_CASES)
+    # region 3 of this triangle has 3 vertices, and the kernel once left its
+    # 4th vertex slot NaN
+    @example((_TETRA, [(0, 1, 2, 3)], np.array([[[1 / 3, 1 / 6, 1 / 6]]]),
+              [[Piece((0, 1, 2, 3), _TETRA.to_chart((0, 1, 2, 3), np.array(
+                  [[1 / 3, 1 / 3, 1 / 6], [1 / 4, 1 / 4, 1 / 4], [4 / 13, 4 / 13, 1 / 13]])))]]))
     def test_level_rows_equal_lone_cell_calls(self, case):
         cx, cells, centers, pieces = case
         level = deform.project_pieces(cx, cells, centers, pieces)
@@ -1001,9 +1132,12 @@ class TestProjectPieces:
             one = _lone(cx, cell, centers[l], pieces[l])
             ref = _cell_kernel(cx, cell, centers[l], pieces[l])
             P = len(pieces[l])
-            for got in (level, one):
-                assert got.clear[l if got is level else 0].tolist() == ref["clear"].tolist()
-                assert got.exits[l if got is level else 0].tolist() == ref["exits"].tolist()
+            for got, g in ((level, l), (one, 0)):
+                assert got.clear[g].tolist() == ref["clear"].tolist()
+                assert got.exits[g].tolist() == ref["exits"].tolist()
+                # vertex slots past a region's count hold 0
+                padded = np.arange(got.images.shape[-2]) >= got.counts[g][..., None]
+                assert not got.images[g][padded].any()
             row = level.counts[l]
             assert np.array_equal(row[:, :P], ref["counts"])
             assert not row[:, P:].any() and not level.piece_tracks[l, :, P:].any()
@@ -1013,9 +1147,10 @@ class TestProjectPieces:
                     assert got.proj[g, i] == pytest.approx(ref["proj"][i], rel=0, abs=1e-12)
                     assert np.allclose(got.piece_tracks[g, i, :P], ref["piece_tracks"][i],
                                        rtol=0, atol=1e-12)
-                    live = ref["counts"][i] > 0
-                    assert np.allclose(got.images[g, i, :P][live], ref["images"][i][live],
-                                       rtol=0, atol=1e-12)
+                    for p, j in zip(*np.nonzero(ref["counts"][i])):
+                        n = ref["counts"][i, p, j]
+                        assert np.allclose(got.images[g, i, p, j, :n], ref["images"][i, p, j, :n],
+                                           rtol=0, atol=1e-12)
                 _assert_same_pieces(level.image_pieces(l, i), one.image_pieces(0, i))
 
     @settings(max_examples=60, deadline=None)
