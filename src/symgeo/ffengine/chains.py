@@ -16,6 +16,7 @@ dimension.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -89,8 +90,9 @@ class PolyChain:
         #: simplex_volume of each piece, from the determinant already taken
         self.volumes: list[float] = [math.sqrt(max(det, 0.0)) / scale
                                      for _, det in kept.values()]
-        #: the complex normalize_chain found every piece lowest-hosted in
-        self.normalized_in: GeoComplex | None = None
+        # weak reference to the complex normalize_chain returned this chain
+        # for, so the mark keeps no complex (or its caches) alive
+        self._normalized_in: weakref.ref | None = None
 
     def __len__(self):
         return len(self.pieces)
@@ -100,6 +102,12 @@ class PolyChain:
 
     def max_host_dim(self) -> int:
         return max((len(p.host) - 1 for p in self.pieces), default=-1)
+
+    def normalized_for(self, cx: GeoComplex) -> bool:
+        """Whether normalize_chain(cx, ...) returned this chain, so every
+        piece is already hosted in the lowest face of cx containing it (the
+        pieces are fixed at construction)."""
+        return self._normalized_in is not None and self._normalized_in() is cx
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +139,8 @@ def normalize_chain(cx: GeoComplex, chain: PolyChain) -> PolyChain:
     The chain itself is returned when no piece has a dead barycentric
     coordinate; otherwise only the flagged pieces are re-hosted and the
     chain is rebuilt, so pieces that now share a face cancel mod 2.  The
-    returned chain's ``normalized_in`` is cx.
+    returned chain, which may be the argument, is marked so that its
+    ``normalized_for(cx)`` is true.
     """
 
     def dead(pts, group):
@@ -144,7 +153,7 @@ def normalize_chain(cx: GeoComplex, chain: PolyChain) -> PolyChain:
         for i in flagged:
             pieces[i] = normalize_host(cx, pieces[i])
         chain = PolyChain(chain.k, pieces)
-    chain.normalized_in = cx
+    chain._normalized_in = weakref.ref(cx)
     return chain
 
 

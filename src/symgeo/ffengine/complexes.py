@@ -31,26 +31,26 @@ def simplex_gram_det(points: np.ndarray):
     ``points`` is (k+1, N) for one simplex, which gives a float, or a stack
     (..., k+1, N) of simplices, which gives an array of shape (...).  For
     k <= 2 the determinant is taken in closed form from elementwise products
-    of the edges e_i (g_ij = e_i . e_j): g00 for one edge, g00 g11 - g01^2
-    for two, and for two in the plane (N = 2) the squared cross product;
-    larger simplices go through LAPACK.
+    of the edges e0, e1: |e0|^2 for one edge, and for two the sum of the
+    squared 2x2 minors (e0_i e1_j - e0_j e1_i)^2 over coordinate pairs i < j
+    (Lagrange's identity for g00 g11 - g01^2, without its cancellation for
+    slivers; in the plane, the squared cross product).  Larger simplices go
+    through LAPACK.
     """
     k = points.shape[-2] - 1
     if k == 0:
         det = np.ones(points.shape[:-2])
-    elif k <= 2:
+    elif k == 1:
         e0 = points[..., 1, :] - points[..., 0, :]
         det = (e0 * e0).sum(axis=-1)
-        if k == 2:
-            e1 = points[..., 2, :] - points[..., 0, :]
-            if points.shape[-1] == 2:
-                # in the plane the determinant is the squared cross product,
-                # free of the cancellation in g00 g11 - g01^2 for slivers
-                det = e0[..., 0] * e1[..., 1] - e0[..., 1] * e1[..., 0]
-                det = det * det
-            else:
-                g01 = (e0 * e1).sum(axis=-1)
-                det = det * (e1 * e1).sum(axis=-1) - g01 * g01
+    elif k == 2:
+        e0 = points[..., 1, :] - points[..., 0, :]
+        e1 = points[..., 2, :] - points[..., 0, :]
+        det = np.zeros(points.shape[:-2])
+        for i, j in itertools.combinations(range(points.shape[-1]), 2):
+            # minor * minor, not minor ** 2: a scalar's ** 2 goes through pow
+            minor = e0[..., i] * e1[..., j] - e0[..., j] * e1[..., i]
+            det = det + minor * minor
     else:
         edges = points[..., 1:, :] - points[..., :1, :]
         det = np.linalg.det(edges @ np.swapaxes(edges, -1, -2))
@@ -302,33 +302,36 @@ def check_uniform(cx: GeoComplex, r: float, delta: float) -> dict:
     at least delta * r^dim.  Returns the check report "uniformity": its
     ``max_abs_err`` is the worst violation of the three conditions (0.0 when
     all hold) and its detail the worst offender of each.  Congruent cells
-    have volume margins equal up to rounding, so the worst volume is the
-    first cell, in cell order, whose margin is within 1e-12 (relative) of the
-    least.  A complex with no cells raises ValueError, as does a degenerate
+    have values equal up to rounding, so the worst offender of a condition
+    is the first cell, in cell order, within 1e-12 (relative) of the worst
+    value.  A complex with no cells raises ValueError, as does a degenerate
     cell.
     """
     if not cx.cells:
         raise ValueError("complex has no cells")
-    worst = {
-        "diameter": {"value": -math.inf, "bound": r},
-        "distortion": {"value": -math.inf, "bound": 1.0 + delta},
-    }
-    volumes = []  # (margin, cell, volume, bound) in cell order
+    # (value, cell, ...) in cell order; the largest value is the worst
+    diameters, distortions, shortfalls = [], [], []
     for d, cells in cx.cells.items():
         for cell in cells:
-            diam = cx.cell_diameter(cell)
-            dist = cx.chart_distortion(cell)
-            if diam > worst["diameter"]["value"]:
-                worst["diameter"].update(cell=list(cell), value=diam, ok=diam <= r)
-            if dist > worst["distortion"]["value"]:
-                worst["distortion"].update(cell=list(cell), value=dist, ok=dist <= 1.0 + delta)
-            vol = cx.cell_volume(cell)
-            volumes.append((vol - delta * r ** d, cell, vol, delta * r ** d))
-    least = min(v[0] for v in volumes)
-    margin, cell, vol, bound = next(v for v in volumes if v[0] - least <= 1e-12 * abs(least))
-    worst["volume"] = {"margin": margin, "cell": list(cell), "value": vol, "bound": bound,
-                       "ok": margin >= 0}
-    violation = max(0.0, worst["diameter"]["value"] - r,
-                    worst["distortion"]["value"] - (1.0 + delta), -worst["volume"]["margin"])
+            diameters.append((cx.cell_diameter(cell), cell))
+            distortions.append((cx.chart_distortion(cell), cell))
+            vol, bound = cx.cell_volume(cell), delta * r ** d
+            shortfalls.append((bound - vol, cell, vol, bound))
+
+    def first_worst(rows):
+        top = max(row[0] for row in rows)
+        return next(row for row in rows if top - row[0] <= 1e-12 * abs(top))
+
+    diam, diam_cell = first_worst(diameters)
+    dist, dist_cell = first_worst(distortions)
+    shortfall, vol_cell, vol, bound = first_worst(shortfalls)
+    worst = {
+        "diameter": {"value": diam, "bound": r, "cell": list(diam_cell), "ok": diam <= r},
+        "distortion": {"value": dist, "bound": 1.0 + delta, "cell": list(dist_cell),
+                       "ok": dist <= 1.0 + delta},
+        "volume": {"margin": -shortfall, "cell": list(vol_cell), "value": vol,
+                   "bound": bound, "ok": shortfall <= 0},
+    }
+    violation = max(0.0, diam - r, dist - (1.0 + delta), shortfall)
     return check_report("uniformity", {"r": r, "delta": delta}, violation,
                         all(info["ok"] for info in worst.values()), {"worst": worst})

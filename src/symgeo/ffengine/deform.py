@@ -28,8 +28,7 @@ the one-cell and one-piece forms of the two calls.
 
 Homotopy tracks are exact cone-volume differences: the region swept by
 y -> (1-t) y + t p(y) is the cone over the projected part minus the cone over
-the part itself, both measured from the center; over a curve in a 2-cell
-each cone is a triangle, measured by a cross product.
+the part itself, both measured from the center.
 
 At the chain's own dimension the only choice is whether a cell is fully
 covered (the piece stays, as a whole cell) or not (the radial collapse kills
@@ -321,13 +320,10 @@ def project_pieces(cx: GeoComplex, cells: Sequence[Cell], centers: np.ndarray,
         else:
             # the track of a region is the cone over its image minus the cone
             # over the region itself, both from the center
+            apex = np.broadcast_to(apex[..., None, :], in_fan.shape + (1, m))
+
             def cones(verts):
-                if m == 2:
-                    # k = 1: the cone over a segment is a triangle in the plane
-                    a, b = np.moveaxis(verts - apex, -2, 0)
-                    return np.abs(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]) / 2.0
-                apexes = np.broadcast_to(apex[..., None, :], in_fan.shape + (1, m))
-                cone = np.concatenate([verts[..., fan, :], apexes], axis=-2)
+                cone = np.concatenate([verts[..., fan, :], apex], axis=-2)
                 return _running_sum(np.where(in_fan, simplex_volume(cone), 0.0))
 
             swept = np.where(counts > 0, cones(image) - cones(part), 0.0)
@@ -607,9 +603,9 @@ def ff_step(cx: GeoComplex, chain: PolyChain, m: int, seed: int,
     level's StepTrace (with its homotopy-track volume), the cells kept whole
     and the largest accepted center ratio.
     """
-    before = chain.volume()
-    if chain.normalized_in is not cx:
+    if not chain.normalized_for(cx):
         chain = normalize_chain(cx, chain)
+    before = chain.volume()
     if chain.max_host_dim() > m:
         raise ValueError(f"chain is not supported in the {m}-skeleton")
     if m < chain.k:
@@ -660,12 +656,12 @@ def ff_deform(cx: GeoComplex, chain: PolyChain, seed: int,
 
     Descends one skeleton level at a time; the final chain is a union of
     whole k-cells (cells the chain covered) while everything else has been
-    collapsed into the (k-1)-skeleton.  The input is normalized once; each
-    level's output is already normalized for the next.
+    collapsed into the (k-1)-skeleton.  The first level normalizes the
+    input unless normalize_chain already returned it for cx; each level's
+    output is normalized for the next.
     """
     if not chain.k < cx.dim:
         raise ValueError("chain dimension must be below the complex dimension")
-    chain = normalize_chain(cx, chain)
     steps = []
     total_track = 0.0
     max_ratio = 0.0

@@ -147,15 +147,24 @@ class TestCheckUniform:
             check_uniform(cx, r=1.2, delta=0.2)
 
     def test_congruent_cells_report_the_first(self, torus8):
-        # every triangle of the torus has the same area, up to rounding
-        # that differs from cell to cell
-        report = check_uniform(torus8, r=1.2, delta=0.2)
+        # every triangle of the torus has the same area, every diagonal the
+        # same length and every chart distortion 1, up to rounding that
+        # differs from cell to cell
+        worst = check_uniform(torus8, r=1.2, delta=0.2)["detail"]["worst"]
         triangles = torus8.cells_of_dim(2)
         margins = [torus8.cell_volume(c) - 0.2 * 1.2 ** 2 for c in triangles]
         assert len(set(margins)) > 1
-        worst = report["detail"]["worst"]["volume"]
-        assert worst["cell"] == list(triangles[0])
-        assert worst["margin"] == margins[0] == pytest.approx(min(margins), rel=1e-12)
+        assert worst["volume"]["cell"] == list(triangles[0])
+        assert worst["volume"]["margin"] == margins[0] == pytest.approx(min(margins), rel=1e-12)
+        cells = [c for d in sorted(torus8.cells) for c in torus8.cells_of_dim(d)]
+        for name, measure in (("diameter", torus8.cell_diameter),
+                              ("distortion", torus8.chart_distortion)):
+            values = [measure(c) for c in cells]
+            assert len({v for v in values if v == pytest.approx(max(values), rel=1e-12)}) > 1
+            first = next(c for c, v in zip(cells, values)
+                         if v == pytest.approx(max(values), rel=1e-12))
+            assert worst[name]["cell"] == list(first)
+            assert worst[name]["value"] == measure(first)
 
 
 class TestChains:
@@ -391,9 +400,11 @@ class TestArrayChains:
 
     def test_suite_takes_no_lapack_determinant_and_normalizes_once_per_level(
             self, monkeypatch):
+        from symgeo.ffengine import chains
+
         cx = flat_torus_complex(8)
         calls = [0]
-        normalize = deform.normalize_chain
+        normalize = chains.normalize_chain
 
         def counting(*args):
             calls[0] += 1
@@ -403,11 +414,33 @@ class TestArrayChains:
             raise AssertionError("np.linalg.det was called")
 
         monkeypatch.setattr(np.linalg, "det", no_det)
-        monkeypatch.setattr(deform, "normalize_chain", counting)
+        for module in (chains, torus_mod, deform):
+            monkeypatch.setattr(module, "normalize_chain", counting)
         assert run_deformation_suite(cx, n_chains=2)["pass"]
-        # a loop on the torus takes two levels (m = 2, 1): the input is
-        # normalized once, and each level normalizes its output
-        assert calls[0] == 2 * (2 + 1)
+        # a loop on the torus takes two levels (m = 2, 1): random_loop_chain
+        # normalizes the loop once, and each level normalizes its output
+        assert calls[0] == 2 * (1 + 2)
+
+    def test_normalized_mark_is_per_complex_and_weak(self, torus8):
+        loop, _ = random_loop_chain(torus8, seed=3)
+        other = flat_torus_complex(8)
+        assert loop.normalized_for(torus8) and not loop.normalized_for(other)
+        # an unmarked chain, or one marked for another complex, is normalized
+        # by the first level
+        want = ff_deform(torus8, loop, seed=3).to_json_dict()
+        plain = PolyChain(1, loop.pieces)
+        assert not plain.normalized_for(torus8)
+        assert ff_deform(torus8, plain, seed=3).to_json_dict() == want
+        assert normalize_chain(other, plain) is plain
+        assert plain.normalized_for(other) and not plain.normalized_for(torus8)
+        assert ff_deform(torus8, plain, seed=3).to_json_dict() == want
+        # the mark keeps no complex alive
+        normalize_chain(other, plain)
+        ref = weakref.ref(other)
+        del other
+        gc.collect()
+        assert ref() is None
+        assert not plain.normalized_for(torus8)
 
     def test_two_level_deformation_rebuilds_at_most_three_chains(self, torus8, monkeypatch):
         from symgeo.ffengine import chains
