@@ -3,10 +3,6 @@
 from .chains import (
     Piece,
     PolyChain,
-    boundary_keys,
-    chain_from_json_dict,
-    chain_to_json_dict,
-    is_closed,
     normalize_chain,
     validate_chain,
 )
@@ -36,15 +32,11 @@ __all__ = [
     "GeoComplex",
     "Piece",
     "PolyChain",
-    "boundary_keys",
-    "chain_from_json_dict",
-    "chain_to_json_dict",
     "check_uniform",
     "crossing_parities",
     "ff_deform",
     "ff_step",
     "flat_torus_complex",
-    "is_closed",
     "normalize_chain",
     "random_loop_chain",
     "remainder_decomposition",

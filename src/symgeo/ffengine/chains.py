@@ -1,16 +1,14 @@
 """Polyhedral chains with mod-2 coefficients inside a geometric complex.
 
-A chain of dimension k is a list of pieces; each piece is an affine
-k-simplex given by k+1 points in the chart of its host cell.  Identical
-pieces cancel in pairs (Z/2 coefficients) and pieces below the degeneracy
-threshold are pruned at construction.
-
-Pieces whose points have one shape (one host dimension) are handled as one
-stacked array: construction prunes with one stacked Gram determinant and
-rounds the cancellation keys in one call per shape, the volumes come from
-the same determinants, and normalize_chain and validate_chain test every
-piece's barycentric coordinates with one stacked product per host
-dimension.
+A k-chain is an ordered list of pieces, affine k-simplices given by k+1
+points in the chart of a host cell, held as one Block of arrays per host
+dimension; ``PolyChain.pieces`` is a view built on first read.  Building a
+chain prunes degenerate pieces by one stacked Gram determinant per block
+(which also gives the volumes) and cancels identical pieces in pairs (Z/2)
+by one np.unique per block on keys of the host and the rounded, row-sorted
+points: a key with an odd count keeps its last occurrence, in the order of
+those occurrences.  normalize_chain and validate_chain take one stacked
+barycentric product per block, with the solvers of the complex's arrays.
 """
 
 from __future__ import annotations
@@ -18,11 +16,12 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .complexes import Cell, GeoComplex, barycentric, simplex_gram_det, simplex_volume
+from .complexes import Cell, GeoComplex, barycentric, simplex_gram_det
 
 #: pieces with squared-volume Gram determinant below this are dropped
 DEGENERATE_GRAM = 1e-18
@@ -37,71 +36,114 @@ class Piece:
     points: np.ndarray  # (k+1, dim host) chart coordinates
 
 
-def piece_volume(piece: Piece) -> float:
-    return simplex_volume(piece.points)
+class Block(NamedTuple):
+    """The pieces of a list hosted on cells of one dimension d, in list
+    order."""
+
+    hosts: np.ndarray   # (P, d+1) vertex ids of the host cells
+    points: np.ndarray  # (P, k+1, d) chart coordinates
+    index: np.ndarray   # (P,) increasing positions in the list
 
 
-def _per_shape(fn: Callable, pieces: Sequence[Piece]) -> list:
-    """fn(points, group) on each group of pieces of one point shape, with
-    their points stacked; returns fn's values per piece, in piece order."""
-    groups: dict = {}
-    for i, piece in enumerate(pieces):
-        groups.setdefault(piece.points.shape, []).append(i)
-    out: list = [None] * len(pieces)
-    for idx in groups.values():
-        group = [pieces[i] for i in idx]
-        for i, value in zip(idx, fn(np.stack([p.points for p in group]), group)):
-            out[i] = value
+def _views(blocks: dict[int, Block], size: int) -> list[Piece]:
+    out: list = [None] * size
+    for block in blocks.values():
+        for i, host, pts in zip(block.index.tolist(), block.hosts.tolist(), block.points):
+            out[i] = Piece(tuple(host), pts)
     return out
 
 
-def _keys_and_dets(pts: np.ndarray, _) -> list:
-    # the sorted rounded points, a piece's Z/2 key with its host, and the
-    # Gram determinant of each piece
-    rows = (np.round(pts, _KEY_DECIMALS) + 0.0).tolist()
-    return list(zip((tuple(sorted(map(tuple, r))) for r in rows),
-                    simplex_gram_det(pts).tolist()))
+class PieceList:
+    """An ordered list of k-pieces held as blocks by host dimension;
+    iterating gives Piece views in list order."""
+
+    def __init__(self, blocks: dict[int, Block], size: int):
+        self.blocks, self.size = blocks, size
+
+    @classmethod
+    def of(cls, k: int, pieces: Iterable[Piece]) -> "PieceList":
+        groups: dict[int, list] = {}
+        for i, piece in enumerate(pieces):
+            pts = np.asarray(piece.points, dtype=float)
+            if pts.shape[0] != k + 1:
+                raise ValueError(f"piece has {pts.shape[0]} points, expected {k + 1}")
+            groups.setdefault(len(piece.host) - 1, []).append((i, piece.host, pts))
+        blocks = {}
+        for d, group in sorted(groups.items()):
+            index, hosts, pts = zip(*group)
+            blocks[d] = Block(np.array(hosts, dtype=np.int64).reshape(-1, d + 1),
+                              np.stack(pts), np.array(index))
+        return cls(blocks, sum(map(len, groups.values())))
+
+    def __iter__(self):
+        return iter(_views(self.blocks, self.size))
+
+
+def _cancel_keys(block: Block) -> np.ndarray:
+    """One key per piece: its host and its rounded points in a canonical
+    row order."""
+    P, k1, d = block.points.shape
+    rows = np.round(block.points, _KEY_DECIMALS) + 0.0
+    if d:
+        # any fixed order of the rows is canonical; their bytes order them
+        rows = np.sort(np.ascontiguousarray(rows).view(f"V{8 * d}")[..., 0], axis=-1)
+    hosts = np.ascontiguousarray(block.hosts, dtype=np.int64).view(np.uint8)
+    rows = np.ascontiguousarray(rows).view(np.uint8)
+    key = np.concatenate([hosts.reshape(P, 8 * (d + 1)), rows.reshape(P, 8 * k1 * d)], axis=1)
+    return key.view(f"V{key.shape[1]}")[:, 0]
 
 
 class PolyChain:
-    """Mod-2 polyhedral k-chain; construction prunes and cancels pieces."""
+    """Mod-2 polyhedral k-chain; construction prunes and cancels pieces.
 
-    def __init__(self, k: int, pieces: Iterable[Piece]):
+    ``pieces`` are Piece objects or a PieceList.  ``pruned`` and
+    ``cancelled`` count the pieces construction dropped as degenerate and
+    cancelled in pairs.
+    """
+
+    def __init__(self, k: int, pieces: Iterable[Piece] | PieceList):
         self.k = int(k)
-        given = []
-        for piece in pieces:
-            pts = np.asarray(piece.points, dtype=float)
-            if pts.shape[0] != self.k + 1:
-                raise ValueError(
-                    f"piece has {pts.shape[0]} points, expected {self.k + 1}"
-                )
-            given.append(piece if pts is piece.points else Piece(piece.host, pts))
-        kept: dict = {}
-        for piece, (rows, det) in zip(given, _per_shape(_keys_and_dets, given)):
-            if det < DEGENERATE_GRAM:
-                continue
-            key = (piece.host, rows)
-            if key in kept:
-                del kept[key]  # Z/2: second copy cancels the first
-            else:
-                kept[key] = (piece, det)
-        self.pieces: tuple[Piece, ...] = tuple(piece for piece, _ in kept.values())
+        given = pieces if isinstance(pieces, PieceList) else PieceList.of(self.k, pieces)
+        kept: dict[int, tuple] = {}
+        self.pruned = self.cancelled = 0
+        for d, block in given.blocks.items():
+            det = simplex_gram_det(block.points)
+            live = np.flatnonzero(~(det < DEGENERATE_GRAM))[::-1]
+            # np.unique gives a key's first index in live, which is reversed:
+            # its last occurrence
+            _, first, counts = np.unique(_cancel_keys(block)[live], return_index=True,
+                                         return_counts=True)
+            rows = np.sort(live[first[counts % 2 == 1]])
+            self.pruned += len(block.index) - len(live)
+            self.cancelled += len(live) - len(rows)
+            if len(rows):
+                kept[d] = (block.hosts[rows], block.points[rows], block.index[rows], det[rows])
+        # renumber the kept pieces 0..n-1 in list order
+        position = np.sort(np.concatenate([index for _, _, index, _ in kept.values()] or [[]]))
+        self.blocks: dict[int, Block] = {}
+        #: simplex_volume of each piece, in piece order, from its determinant
+        self.volumes = np.zeros(len(position))
         scale = math.factorial(self.k)
-        #: simplex_volume of each piece, from the determinant already taken
-        self.volumes: list[float] = [math.sqrt(max(det, 0.0)) / scale
-                                     for _, det in kept.values()]
+        for d, (hosts, pts, index, det) in kept.items():
+            index = np.searchsorted(position, index)
+            self.blocks[d] = Block(hosts, pts, index)
+            self.volumes[index] = np.sqrt(np.maximum(det, 0.0)) / scale
         # weak reference to the complex normalize_chain returned this chain
         # for, so the mark keeps no complex (or its caches) alive
         self._normalized_in: weakref.ref | None = None
 
+    @cached_property
+    def pieces(self) -> tuple[Piece, ...]:
+        return tuple(_views(self.blocks, len(self)))
+
     def __len__(self):
-        return len(self.pieces)
+        return len(self.volumes)
 
     def volume(self) -> float:
-        return float(sum(self.volumes))
+        return float(sum(self.volumes.tolist()))
 
     def max_host_dim(self) -> int:
-        return max((len(p.host) - 1 for p in self.pieces), default=-1)
+        return max(self.blocks, default=-1)
 
     def normalized_for(self, cx: GeoComplex) -> bool:
         """Whether normalize_chain(cx, ...) returned this chain, so every
@@ -133,6 +175,12 @@ def normalize_host(cx: GeoComplex, piece: Piece) -> Piece:
         piece = Piece(face, coords)
 
 
+def _bary(cx: GeoComplex, idx: np.ndarray, points: np.ndarray) -> np.ndarray:
+    # barycentric coordinates (P, k+1, d+1) of points (P, k+1, d) in the
+    # d-cells at positions idx
+    return barycentric(cx.cell_arrays(points.shape[-1]).solvers[idx], points)
+
+
 def normalize_chain(cx: GeoComplex, chain: PolyChain) -> PolyChain:
     """Re-host every piece to the lowest face containing it.
 
@@ -142,12 +190,10 @@ def normalize_chain(cx: GeoComplex, chain: PolyChain) -> PolyChain:
     returned chain, which may be the argument, is marked so that its
     ``normalized_for(cx)`` is true.
     """
-
-    def dead(pts, group):
-        bary = barycentric(np.stack([cx.chart(p.host).bary_solver for p in group]), pts)
-        return (np.abs(bary) <= _CONTAIN_TOL).all(axis=1).any(axis=1).tolist()
-
-    flagged = [i for i, f in enumerate(_per_shape(dead, chain.pieces)) if f]
+    flagged = []
+    for block in chain.blocks.values():
+        bary = _bary(cx, cx.cell_index(block.hosts), block.points)
+        flagged.extend(block.index[(np.abs(bary) <= _CONTAIN_TOL).all(axis=1).any(axis=1)])
     if flagged:
         pieces = list(chain.pieces)
         for i in flagged:
@@ -158,76 +204,22 @@ def normalize_chain(cx: GeoComplex, chain: PolyChain) -> PolyChain:
 
 
 def validate_chain(cx: GeoComplex, chain: PolyChain, tol: float = _CONTAIN_TOL):
-    """Every piece must sit inside its host cell (barycentric check).
-
-    The pieces are checked in order, up to the first whose host is not a
-    cell, with one stacked barycentric product per host dimension.
-    """
-    pieces = chain.pieces
-    bad = next((i for i, p in enumerate(pieces) if not cx.has_cell(p.host)), len(pieces))
-
-    def bary_range(pts, group):
-        bary = barycentric(np.stack([cx.chart(p.host).bary_solver for p in group]), pts)
-        return zip(bary.min(axis=(1, 2)).tolist(), bary.max(axis=(1, 2)).tolist())
-
-    for piece, (lo, hi) in zip(pieces, _per_shape(bary_range, pieces[:bad])):
-        if lo < -tol or hi > 1.0 + tol:
-            raise ValueError(
-                f"piece escapes host {piece.host}: barycentric range "
-                f"[{lo:.3e}, {hi:.3e}]"
-            )
-    if bad < len(pieces):
-        raise ValueError(f"host {pieces[bad].host} is not a cell of the complex")
-
-
-# ---------------------------------------------------------------------------
-# boundary parity (mod 2)
-# ---------------------------------------------------------------------------
-
-
-def boundary_keys(cx: GeoComplex, chain: PolyChain, decimals: int = 7) -> set:
-    """Ambient-coordinate keys of the mod-2 boundary; empty iff closed."""
-    parity: dict = {}
-    for piece in chain.pieces:
-        ambient = cx.to_ambient(piece.host, piece.points)
-        for drop in range(piece.points.shape[0]):
-            facet = np.delete(ambient, drop, axis=0)
-            key = tuple(sorted(tuple(np.round(row, decimals) + 0.0) for row in facet))
-            parity[key] = parity.get(key, 0) ^ 1
-    return {key for key, p in parity.items() if p}
-
-
-def is_closed(cx: GeoComplex, chain: PolyChain) -> bool:
-    return not boundary_keys(cx, chain)
-
-
-# ---------------------------------------------------------------------------
-# serialization: pieces as ambient point lists plus host vertex tuples
-# ---------------------------------------------------------------------------
-
-
-def chain_to_json_dict(cx: GeoComplex, chain: PolyChain) -> dict:
-    return {
-        "k": chain.k,
-        "pieces": [
-            {
-                "host": list(p.host),
-                "points": cx.to_ambient(p.host, p.points).tolist(),
-            }
-            for p in chain.pieces
-        ],
-    }
-
-
-def chain_from_json_dict(cx: GeoComplex, doc: dict) -> PolyChain:
-    k = int(doc["k"])
-    pieces = []
-    for item in doc["pieces"]:
-        host = tuple(sorted(int(v) for v in item["host"]))
-        if not cx.has_cell(host):
+    """Every piece must sit inside its host cell, a cell of cx (barycentric
+    check, one stacked product per host dimension); the first piece in
+    order that fails raises ValueError."""
+    n = len(chain)
+    missing, lo, hi = np.zeros(n, dtype=bool), np.zeros(n), np.ones(n)
+    for block in chain.blocks.values():
+        idx = cx.cell_index(block.hosts, strict=False)
+        missing[block.index] = idx < 0
+        at, found = block.index[idx >= 0], idx >= 0
+        bary = _bary(cx, idx[found], block.points[found])
+        lo[at], hi[at] = bary.min(axis=(1, 2)), bary.max(axis=(1, 2))
+    bad = np.flatnonzero(missing | (lo < -tol) | (hi > 1.0 + tol))
+    if bad.size:
+        i = bad[0]
+        host = chain.pieces[i].host
+        if missing[i]:
             raise ValueError(f"host {host} is not a cell of the complex")
-        pts = cx.to_chart(host, np.array(item["points"], dtype=float))
-        pieces.append(Piece(host, pts))
-    chain = PolyChain(k, pieces)
-    validate_chain(cx, chain, tol=1e-6)
-    return normalize_chain(cx, chain)
+        raise ValueError(f"piece escapes host {host}: barycentric range "
+                         f"[{lo[i]:.3e}, {hi[i]:.3e}]")

@@ -4,9 +4,11 @@ Cells are sorted vertex tuples, face-closed from the top cells.  Every cell
 carries an affine chart into R^dim built from an orthonormal basis of its
 affine hull, so for complexes whose simplices are flat in the ambient space
 the charts are exact isometries and chart distortion is measurable via
-singular values.  ``check_uniform`` checks diameters, distortions and
-volumes against a uniformity scale and returns a plain check report
-(``symgeo.report``).
+singular values.  Per dimension the complex keeps its cells' vertex ids,
+models, barycentric solvers and facet maps stacked (``cell_arrays``), which
+the collapse gathers by cell position (``cell_index``).  ``check_uniform``
+checks diameters, distortions and volumes against a uniformity scale and
+returns a plain check report (``symgeo.report``).
 """
 
 from __future__ import annotations
@@ -75,6 +77,28 @@ def barycentric(solver: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return lifted @ solver
 
 
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row of non-negative ints (..., w): big-endian
+    bytes, so keys order like their rows, lexicographically."""
+    rows = np.ascontiguousarray(rows, dtype=">i8")
+    return rows.view(f"V{8 * rows.shape[-1]}")[..., 0]
+
+
+@dataclass(frozen=True)
+class CellArrays:
+    """The d-cells of a complex as stacked arrays, in cells_of_dim(d) order.
+    A point with chart coordinates y on facet j (the facet without vertex j)
+    of cell c has facet chart coordinates y @ linear[c, j] + offset[c, j],
+    convert_coords composed into one affine step."""
+
+    verts: np.ndarray    # (n, d+1) vertex ids
+    keys: np.ndarray     # (n,) increasing row_keys of verts
+    models: np.ndarray   # (n, d+1, d) chart coordinates of the vertices
+    solvers: np.ndarray  # (n, d+1, d+1) bary_solver of each chart
+    linear: np.ndarray   # (n, d+1, d, d-1) for d >= 1
+    offset: np.ndarray   # (n, d+1, d-1) for d >= 1
+
+
 @dataclass(frozen=True)
 class Chart:
     origin: np.ndarray          # (N,)
@@ -121,7 +145,7 @@ class GeoComplex:
             d: {c: i for i, c in enumerate(cs)} for d, cs in self.cells.items()
         }
         self._charts: dict[Cell, Chart] = {}
-        self._facet_maps: dict[Cell, tuple[np.ndarray, np.ndarray]] = {}
+        self._arrays: dict[int, CellArrays] = {}
         self._top_cofaces: dict[Cell, tuple[Cell, ...]] = {}
         self._min_volume: dict[int, float] = {}
         self._cofacets: dict[Cell, list[Cell]] = {}
@@ -136,9 +160,6 @@ class GeoComplex:
     def cells_of_dim(self, d: int) -> list[Cell]:
         return self.cells.get(d, [])
 
-    def cell_dim(self, cell: Cell) -> int:
-        return len(cell) - 1
-
     def has_cell(self, cell: Cell) -> bool:
         return cell in self._cell_index.get(len(cell) - 1, {})
 
@@ -150,7 +171,7 @@ class GeoComplex:
         cell from those of its cofacets."""
         tops = self._top_cofaces.get(cell)
         if tops is None:
-            if self.cell_dim(cell) == self.dim:
+            if len(cell) - 1 == self.dim:
                 tops = (cell,)
             else:
                 tops = tuple(sorted({top for cof in self.cofacets(cell)
@@ -187,20 +208,39 @@ class GeoComplex:
         self._charts[cell] = chart
         return chart
 
-    def facet_maps(self, cell: Cell) -> tuple[np.ndarray, np.ndarray]:
-        """Affine maps from the cell's chart to the charts of its facets,
-        built once per cell: a point with chart coordinates y on facet j (the
-        facet without the cell's j-th vertex) has facet chart coordinates
-        y @ linear[j] + offset[j].  ``linear`` is (d+1, d, d-1) and ``offset``
-        (d+1, d-1); the map is convert_coords composed into one step."""
-        maps = self._facet_maps.get(cell)
-        if maps is None:
-            chart = self.chart(cell)
-            facets = [self.chart(cell[:j] + cell[j + 1:]) for j in range(len(cell))]
-            maps = (np.stack([chart.basis.T @ f.basis for f in facets]),
-                    np.stack([(chart.origin - f.origin) @ f.basis for f in facets]))
-            self._facet_maps[cell] = maps
-        return maps
+    def cell_arrays(self, d: int) -> CellArrays:
+        """The d-cells' CellArrays, built once per dimension from the charts
+        of the cells and their facets."""
+        arrays = self._arrays.get(d)
+        if arrays is None:
+            cells = self.cells_of_dim(d)
+            charts = [self.chart(cell) for cell in cells]
+            facets = [[self.chart(c[:j] + c[j + 1:]) for j in range(d + 1)] for c in cells]
+            maps = [[(c.basis.T @ f.basis, (c.origin - f.origin) @ f.basis) for f in fs]
+                    for c, fs in zip(charts, facets)] if d else []
+            verts = np.array(cells, dtype=np.int64).reshape(len(cells), d + 1)
+            arrays = CellArrays(
+                verts, row_keys(verts),
+                np.array([c.model for c in charts]).reshape(len(cells), d + 1, d),
+                np.array([c.bary_solver for c in charts]).reshape(len(cells), d + 1, d + 1),
+                np.array([[a for a, _ in row] for row in maps]),
+                np.array([[b for _, b in row] for row in maps]))
+            self._arrays[d] = arrays
+        return arrays
+
+    def cell_index(self, hosts: np.ndarray, strict: bool = True) -> np.ndarray:
+        """Positions in cells_of_dim(d) of the cells whose vertex ids are the
+        rows of hosts (..., d+1).  A row that is no cell raises ValueError,
+        or gives -1 when not strict."""
+        hosts = np.asarray(hosts, dtype=np.int64)
+        arrays = self.cell_arrays(hosts.shape[-1] - 1)
+        idx = np.searchsorted(arrays.keys, row_keys(hosts))
+        found = idx < len(arrays.keys)
+        found[found] = (arrays.verts[idx[found]] == hosts[found]).all(axis=-1)
+        if strict and not found.all():
+            bad = tuple(hosts[~found][0].tolist())
+            raise ValueError(f"host {bad} is not a cell of the complex")
+        return np.where(found, idx, -1)
 
     def to_chart(self, cell: Cell, pts: np.ndarray) -> np.ndarray:
         return self.chart(cell).to_chart(pts)
@@ -262,32 +302,6 @@ class GeoComplex:
     @classmethod
     def from_json(cls, text: str) -> "GeoComplex":
         return cls.from_json_dict(json.loads(text))
-
-    @classmethod
-    def from_off(cls, text: str) -> "GeoComplex":
-        tokens: list[str] = []
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if line:
-                tokens.extend(line.split())
-        if not tokens or tokens[0].upper() != "OFF":
-            raise ValueError("not an OFF document")
-        nv, nf = int(tokens[1]), int(tokens[2])
-        pos = 4
-        coords = []
-        # vertex lines are triples in standard OFF
-        for _ in range(nv):
-            coords.append([float(tokens[pos + i]) for i in range(3)])
-            pos += 3
-        faces = []
-        for _ in range(nf):
-            cnt = int(tokens[pos])
-            face = [int(tokens[pos + 1 + i]) for i in range(cnt)]
-            pos += cnt + 1
-            if len(set(face)) != cnt:
-                raise ValueError(f"OFF face {face} repeats a vertex")
-            faces.append(face)
-        return cls(np.array(coords), faces)
 
 
 # ---------------------------------------------------------------------------

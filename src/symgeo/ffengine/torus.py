@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .chains import Piece, PolyChain, _per_shape, normalize_chain
+from .chains import Block, PieceList, PolyChain, normalize_chain
 from .complexes import GeoComplex, barycentric
 from .deform import covers_edge
 
@@ -112,8 +112,9 @@ def random_loop_chain(cx: GeoComplex, seed: int, n_waypoints: int = 6,
     cells, tris = _locate_triangles(n, (ends[:, 0] + ends[:, 1]) / 2.0)
     # b solves b @ [[1, tri_i]] = [1, p], as a chart's bary_solver does
     bary = barycentric(np.linalg.inv(np.insert(tris, 0, 1.0, axis=2)), ends)
-    coords = bary @ np.array([cx.chart(cell).model for cell in cells]).reshape(tris.shape)
-    chain = normalize_chain(cx, PolyChain(1, map(Piece, cells, coords)))
+    coords = bary @ cx.cell_arrays(2).models[cx.cell_index(cells)]
+    pieces = PieceList({2: Block(np.array(cells), coords, np.arange(len(cells)))}, len(cells))
+    chain = normalize_chain(cx, PolyChain(1, pieces))
     return chain, winding
 
 
@@ -137,18 +138,20 @@ def crossing_parities(cx: GeoComplex, chain: PolyChain) -> tuple[int, int]:
     n = cx.metadata["torus_n"]
     param = cx.metadata["param"]
 
-    def param_points(pts, group):
-        tops = [cx.top_cofaces(p.host)[0] for p in group]
-        src = [cx.chart(p.host) for p in group]
+    def param_points(block):
+        hosts = list(map(tuple, block.hosts.tolist()))
+        tops = [cx.top_cofaces(host)[0] for host in hosts]
+        src = [cx.chart(host) for host in hosts]
         dst = [cx.chart(top) for top in tops]
         ambient = (np.stack([c.origin for c in src])[:, None]
-                   + pts @ np.stack([c.basis.T for c in src]))
+                   + block.points @ np.stack([c.basis.T for c in src]))
         coords = (ambient - np.stack([c.origin for c in dst])[:, None]) @ np.stack(
             [c.basis for c in dst])
         bary = barycentric(np.stack([c.bary_solver for c in dst]), coords)
         return bary @ np.stack([param[top] for top in tops])
 
-    pts = np.array(_per_shape(param_points, chain.pieces)).reshape(-1, 2, 2)
+    pts = np.concatenate([param_points(b) for b in chain.blocks.values()]
+                         or [np.zeros((0, 2, 2))])
     lo, hi = pts.min(axis=1), pts.max(axis=1)
     moves = hi - lo > 1e-12
     return tuple(
@@ -179,7 +182,7 @@ def whole_edges_of(cx: GeoComplex, chain: PolyChain) -> list:
     for piece in chain.pieces:
         if len(piece.host) - 1 != 1:
             raise ValueError(f"piece hosted on {piece.host} is not an edge")
-        if not covers_edge(cx, piece.host, [piece]):
+        if not covers_edge(cx, piece.host, piece.points[None]):
             raise ValueError(f"piece on {piece.host} does not cover the edge")
         edges.append(piece.host)
     return edges

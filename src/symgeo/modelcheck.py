@@ -37,9 +37,10 @@ from .rootdata import Covector, RootDatum, build_sln
 
 DEFAULT_STEP = 1e-3
 
-#: matrix sizes and finite-difference steps the model verification accepts
+#: matrix sizes and finite-difference steps the model verification accepts; below
+#: h = 1e-4 the rounding of a second difference (eps |F| / h^2) outweighs its O(h^2) error
 MODEL_SIZES = range(2, 7)
-STEP_RANGE = (1e-5, 1e-2)
+STEP_RANGE = (1e-4, 1e-2)
 
 
 class QuadratureError(RuntimeError):
@@ -198,7 +199,7 @@ def fd_hessian(F: Callable[[np.ndarray], np.ndarray], frame: TangentFrame,
     one call.
     """
     if not STEP_RANGE[0] <= h <= STEP_RANGE[1]:
-        raise ValueError(f"step h = {h} outside [1e-5, 1e-2]")
+        raise ValueError(f"step h = {h} outside [{STEP_RANGE[0]:g}, {STEP_RANGE[1]:g}]")
     Y = frame.vectors
     d = len(Y)
     a, b = np.triu_indices(d, 1)

@@ -198,6 +198,7 @@ def test_help_exits_zero(capsys):
     ["rx", "SL:1_6"],
     ["verify", "hessian", "--n", "7"],
     ["verify", "hessian", "--h", "1"],
+    ["verify", "hessian", "--h", "5e-5"],
     ["verify", "hessian", "--tol", "0"],
     ["verify", "hessian", "--tol", "nan"],
     ["verify", "hessian", "--tol", "inf"],

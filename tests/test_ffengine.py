@@ -1,13 +1,14 @@
 import gc
 import json
 import math
+import statistics
 import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from symgeo.ffengine import (
@@ -15,14 +16,11 @@ from symgeo.ffengine import (
     GeoComplex,
     Piece,
     PolyChain,
-    chain_from_json_dict,
-    chain_to_json_dict,
     check_uniform,
     crossing_parities,
     ff_deform,
     ff_step,
     flat_torus_complex,
-    is_closed,
     normalize_chain,
     random_loop_chain,
     remainder_decomposition,
@@ -35,9 +33,93 @@ from symgeo.ffengine import (
 )
 from symgeo.ffengine import deform, homology
 from symgeo.ffengine import torus as torus_mod
-from symgeo.ffengine.chains import DEGENERATE_GRAM, _per_shape, normalize_host, piece_volume
+from symgeo.ffengine.chains import DEGENERATE_GRAM, normalize_host
 from symgeo.ffengine.complexes import simplex_gram_det, simplex_volume
 from symgeo.ffengine.deform import project_piece
+
+
+# ---------------------------------------------------------------------------
+# test-only helpers: OFF input, mod-2 boundary parity and chain JSON
+# ---------------------------------------------------------------------------
+
+
+def complex_from_off(text: str) -> GeoComplex:
+    """A complex from an OFF document with vertex triples."""
+    tokens: list[str] = []
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line:
+            tokens.extend(line.split())
+    if not tokens or tokens[0].upper() != "OFF":
+        raise ValueError("not an OFF document")
+    nv, nf = int(tokens[1]), int(tokens[2])
+    pos = 4
+    coords = []
+    for _ in range(nv):
+        coords.append([float(tokens[pos + i]) for i in range(3)])
+        pos += 3
+    faces = []
+    for _ in range(nf):
+        cnt = int(tokens[pos])
+        face = [int(tokens[pos + 1 + i]) for i in range(cnt)]
+        pos += cnt + 1
+        if len(set(face)) != cnt:
+            raise ValueError(f"OFF face {face} repeats a vertex")
+        faces.append(face)
+    return GeoComplex(np.array(coords), faces)
+
+
+def boundary_keys(cx, chain, decimals=7) -> set:
+    """Ambient-coordinate keys of the mod-2 boundary; empty iff closed."""
+    parity: dict = {}
+    for piece in chain.pieces:
+        ambient = cx.to_ambient(piece.host, piece.points)
+        for drop in range(piece.points.shape[0]):
+            facet = np.delete(ambient, drop, axis=0)
+            key = tuple(sorted(tuple(np.round(row, decimals) + 0.0) for row in facet))
+            parity[key] = parity.get(key, 0) ^ 1
+    return {key for key, p in parity.items() if p}
+
+
+def is_closed(cx, chain) -> bool:
+    return not boundary_keys(cx, chain)
+
+
+def chain_to_json_dict(cx, chain) -> dict:
+    """Pieces as ambient point lists plus host vertex tuples."""
+    return {"k": chain.k,
+            "pieces": [{"host": list(p.host), "points": cx.to_ambient(p.host, p.points).tolist()}
+                       for p in chain.pieces]}
+
+
+def chain_from_json_dict(cx, doc) -> PolyChain:
+    pieces = []
+    for item in doc["pieces"]:
+        host = tuple(sorted(int(v) for v in item["host"]))
+        if not cx.has_cell(host):
+            raise ValueError(f"host {host} is not a cell of the complex")
+        pieces.append(Piece(host, cx.to_chart(host, np.array(item["points"], dtype=float))))
+    chain = PolyChain(int(doc["k"]), pieces)
+    validate_chain(cx, chain, tol=1e-6)
+    return normalize_chain(cx, chain)
+
+
+def piece_volume(piece) -> float:
+    return simplex_volume(piece.points)
+
+
+def _per_shape(fn, pieces) -> list:
+    """fn(points, group) on each group of pieces of one point shape, with
+    their points stacked; returns fn's values per piece, in piece order."""
+    groups: dict = {}
+    for i, piece in enumerate(pieces):
+        groups.setdefault(piece.points.shape, []).append(i)
+    out: list = [None] * len(pieces)
+    for idx in groups.values():
+        group = [pieces[i] for i in idx]
+        for i, value in zip(idx, fn(np.stack([p.points for p in group]), group)):
+            out[i] = value
+    return out
 
 
 @pytest.fixture
@@ -103,7 +185,7 @@ class TestGeoComplex:
         3 0 1 2
         3 0 2 3
         """
-        cx = GeoComplex.from_off(text)
+        cx = complex_from_off(text)
         assert len(cx.cells_of_dim(2)) == 2
         assert cx.cell_volume((0, 1, 2)) == pytest.approx(0.5)
 
@@ -306,21 +388,29 @@ def piece_volumes(pieces):
     return np.array(_per_shape(lambda pts, _: simplex_volume(pts).tolist(), pieces))
 
 
-def _ref_chain_pieces(k, pieces):
-    """Oracle: the dict-based PolyChain constructor, one piece at a time."""
-    kept: dict = {}
-    for piece in pieces:
-        pts = np.asarray(piece.points, dtype=float)
-        if simplex_gram_det(pts) < DEGENERATE_GRAM:
-            continue
-        piece = Piece(piece.host, pts)
-        rounded = np.round(pts, 9) + 0.0
-        key = (piece.host, tuple(sorted(tuple(row) for row in rounded)))
-        if key in kept:
-            del kept[key]
-        else:
-            kept[key] = piece
-    return list(kept.values())
+class _RefChain:
+    """Oracle: the dict-keyed PolyChain constructor.  A piece's key is its
+    host and its sorted rounded points; a second copy of a key deletes the
+    first, so the kept pieces are in the order a dict keeps its keys."""
+
+    def __init__(self, k, pieces):
+        pieces = [Piece(p.host, np.asarray(p.points, dtype=float)) for p in pieces]
+        kept: dict = {}
+        for piece, det in zip(pieces, _per_shape(lambda pts, _: simplex_gram_det(pts).tolist(),
+                                                 pieces)):
+            if det < DEGENERATE_GRAM:
+                continue
+            rounded = np.round(piece.points, 9) + 0.0
+            key = (piece.host, tuple(sorted(tuple(row) for row in rounded.tolist())))
+            if key in kept:
+                del kept[key]
+            else:
+                kept[key] = (piece, det)
+        self.pieces = [piece for piece, _ in kept.values()]
+        self.volumes = [math.sqrt(max(det, 0.0)) / math.factorial(k) for _, det in kept.values()]
+
+    def volume(self):
+        return float(sum(self.volumes))
 
 
 _GRID = st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.5])
@@ -329,49 +419,55 @@ _GRID = st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.5])
 @st.composite
 def _chain_cases(draw):
     """Pieces of one dimension k hosted on cells of every dimension of the
-    tetrahedron, with exact copies, copies with permuted points, copies
-    moved within the key rounding, and degenerate pieces (repeated grid
-    points, or more points than the host dimension allows)."""
+    tetrahedron, each repeated 1 to 4 times as exact copies, copies with
+    permuted points and copies moved within the key rounding, in a shuffled
+    order; some pieces are degenerate (repeated grid points, more points
+    than the host dimension allows) or shrunk below DEGENERATE_GRAM."""
     k = draw(st.integers(0, 2))
     cells = [c for d in range(4) for c in _TETRA.cells_of_dim(d)]
+    coord = _GRID | st.floats(-1.0, 1.0)
     pieces: list[Piece] = []
-    for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from(["new", "copy", "permuted", "jittered"])) if pieces else "new"
-        if kind == "new":
-            host = draw(st.sampled_from(cells))
-            d = len(host) - 1
-            coord = _GRID | st.floats(-1.0, 1.0)
-            rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d),
-                                 min_size=k + 1, max_size=k + 1))
-            pieces.append(Piece(host, np.array(rows, dtype=float).reshape(k + 1, d)))
-            continue
-        src = draw(st.sampled_from(pieces))
-        pts = src.points.copy()
-        if kind == "permuted":
-            pts = pts[draw(st.permutations(range(k + 1)))]
-        elif kind == "jittered":
-            pts = pts + draw(st.floats(-4e-10, 4e-10))
-        pieces.append(Piece(src.host, pts))
-    return k, pieces
+    for _ in range(draw(st.integers(0, 6))):
+        host = draw(st.sampled_from(cells))
+        d = len(host) - 1
+        rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                             min_size=k + 1, max_size=k + 1))
+        pts = np.array(rows, dtype=float).reshape(k + 1, d)
+        if draw(st.booleans()):
+            # a k-volume of 1e-10 or 1e-8 times the original's
+            pts = pts[:1] + draw(st.sampled_from([1e-10, 1e-8])) * (pts - pts[:1])
+        for _ in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from(["copy", "permuted", "jittered"]))
+            copy = pts.copy()
+            if kind == "permuted":
+                copy = copy[draw(st.permutations(range(k + 1)))]
+            elif kind == "jittered":
+                copy = copy + draw(st.floats(-4e-10, 4e-10))
+            pieces.append(Piece(host, copy))
+    return k, draw(st.permutations(pieces))
 
 
 class TestArrayChains:
     """The stacked PolyChain constructor and normalize_chain against the
     piece-at-a-time forms they replaced."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(_chain_cases())
     def test_same_pieces_as_dict_constructor(self, case):
         k, pieces = case
         chain = PolyChain(k, pieces)
-        ref = _ref_chain_pieces(k, pieces)
-        assert [p.host for p in chain.pieces] == [p.host for p in ref]
-        for got, want in zip(chain.pieces, ref):
+        ref = _RefChain(k, pieces)
+        assert [p.host for p in chain.pieces] == [p.host for p in ref.pieces]
+        for got, want in zip(chain.pieces, ref.pieces):
             assert got.points.shape == want.points.shape
             assert got.points.tobytes() == want.points.tobytes()
-        assert chain.volumes == [piece_volume(p) for p in ref]
-        assert chain.volumes == piece_volumes(chain.pieces).tolist()
-        assert chain.volume() == float(sum(piece_volume(p) for p in ref))
+        assert chain.volumes.tolist() == ref.volumes
+        assert chain.volume() == ref.volume()
+        # each block keeps its pieces in chain order
+        assert all((np.diff(block.index) > 0).all() for block in chain.blocks.values())
+        assert chain.volumes.tolist() == piece_volumes(chain.pieces).tolist()
+        live = sum(simplex_gram_det(np.asarray(p.points)) >= DEGENERATE_GRAM for p in pieces)
+        assert (chain.pruned, chain.cancelled) == (len(pieces) - live, live - len(chain))
 
     def test_normalized_chain_returned_unchanged(self, torus8):
         chain, _ = random_loop_chain(torus8, seed=3)
@@ -711,7 +807,7 @@ class TestFFDeform:
         assert [s["level"] for s in doc["steps"]] == [2, 1]
         assert all(
             set(s) == {"level", "cells", "volume_before", "volume_after", "track",
-                       "pieces_in", "pieces_out", "center_tries",
+                       "pieces_in", "pieces_out", "pruned", "cancelled", "center_tries",
                        "rejected_clearance", "rejected_exit", "kernel_calls"}
             for s in doc["steps"]
         )
@@ -938,7 +1034,10 @@ def _ref_cone_volume(apex, verts, k):
 def _ref_project_piece(cx, cell, x0, piece):
     """Oracle: one center, one piece, one exit facet at a time, as
     project_piece computed it before the batched kernel, with stretches on a
-    tie between two facets given to the lower one."""
+    tie between two facets given to the lower one and the exit facet's
+    barycentric of a region vertex taken as b0_j + t . B_j, as the kernel
+    takes it (the two forms differ in rounding, which decides the exit
+    verdict of a center on the piece)."""
     chart = cx.chart(cell)
     m, k = len(cell) - 1, piece.points.shape[0] - 1
     c = chart.barycentric(x0[None, :])[0]
@@ -968,7 +1067,7 @@ def _ref_project_piece(cx, cell, x0, piece):
                 continue
             params = np.vstack(poly)
         part = piece.points[0] + params @ T
-        denom = c[j] - chart.barycentric(part)[:, j]
+        denom = c[j] - (b0[j] + (params * B[j]).sum(axis=-1))
         if np.any(denom <= 0):
             raise FloatingPointError("projection ray does not exit through facet")
         image = x0 + (c[j] / denom)[:, None] * (part - x0)
@@ -985,7 +1084,8 @@ def _ref_project_piece(cx, cell, x0, piece):
 
 def _cell_kernel(cx, cell, centers, pieces):
     """Oracle: the per-cell kernel, every candidate against every piece of
-    one cell, as project_pieces computed it before it took a whole level."""
+    one cell, as project_pieces computed it before it took a whole level,
+    with the exit facet's barycentric as _ref_project_piece takes it."""
     chart = cx.chart(cell)
     m = len(cell) - 1
     x = np.asarray(centers, dtype=float).reshape(-1, m)
@@ -993,20 +1093,23 @@ def _cell_kernel(cx, cell, centers, pieces):
     k = pts.shape[1] - 1
     C, P, J = len(x), len(pts), m + 1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        clear = ~deform._too_close(x, pts, m)
+        clear = ~deform._too_close(x, pts)
         c = chart.barycentric(x)
         b = chart.barycentric(pts.reshape(-1, m)).reshape(P, k + 1, J)
         b0, B = b[:, 0], np.swapaxes(b[:, 1:] - b[:, :1], 1, 2)
         ci, cj = c[:, None, None, :], c[:, None, :, None]
         rows = ci[..., None] * B[None, :, :, None] - cj[..., None] * B[None, :, None]
         rhs = -(ci * b0[None, :, :, None] - cj * b0[None, :, None, :])
-        params, counts = deform._exit_params(rows, rhs, k)
+        # each exit facet's constraints against the other facets
+        off = ~np.eye(J, dtype=bool)
+        params, counts = deform._exit_params(rows[..., off, :].reshape(C, P, J, J - 1, k),
+                                             rhs[..., off].reshape(C, P, J, J - 1), k)
         V = params.shape[3]
         T = pts[:, 1:] - pts[:, :1]
         part = pts[None, :, None, :1] + params @ T[None, :, None]
-        b_part = chart.barycentric(part.reshape(-1, m)).reshape(C, P, J, V, J)
         c_exit = c[:, None, :, None]
-        denom = c_exit - np.moveaxis(np.diagonal(b_part, axis1=2, axis2=4), -1, 2)
+        # the exit facet's barycentric of each region vertex, as _ref_project_piece
+        denom = c_exit - (b0[None, :, :, None] + (params * B[None, :, :, None]).sum(axis=-1))
         live = np.arange(V) < counts[..., None]
         exits = ~(live & (denom <= 0)).any(axis=(1, 2, 3))
         apex = x[:, None, None, None, :]
@@ -1203,6 +1306,11 @@ class TestProjectPieces:
 
     @settings(max_examples=60, deadline=None)
     @given(_KERNEL_CASES)
+    # the center is the segment's second endpoint: the exit denominator there
+    # is 0 up to rounding, so the verdict rests on how both take it
+    @example((_UNIT_SQUARE, (0, 1, 2), _points(_UNIT_SQUARE, (0, 1, 2), [[0.25, 1.0, 1.0]]),
+              [Piece((0, 1, 2), _points(_UNIT_SQUARE, (0, 1, 2),
+                                        [[1.0, 0.4, 0.8], [0.25, 1.0, 1.0]]))]))
     def test_agrees_with_scalar_loop(self, case):
         cx, cell, centers, pieces = case
         m = len(cell) - 1
@@ -1298,15 +1406,149 @@ class TestProjectPieces:
 
 
 class _FixedDraws(np.random.Generator):
-    """Generator whose Dirichlet draws are given rows, in order."""
+    """Generator whose exponential draws are given rows, in order; rows
+    that sum to 1 are the Dirichlet draws that select_centers makes of
+    them."""
 
     def __init__(self, rows):
         super().__init__(np.random.PCG64(0))
         self.rows = np.asarray(rows, dtype=float)
 
-    def dirichlet(self, alpha, size=None):
-        out, self.rows = self.rows[:size], self.rows[size:]
-        return out
+    def standard_exponential(self, size=None):
+        # a block past the given rows repeats the last one
+        out, self.rows = self.rows[:size[0]], self.rows[size[0]:]
+        return np.vstack([out, np.repeat(out[-1:], size[0] - len(out), axis=0)])
+
+
+class _CenterSearch:
+    """Oracle: one cell's rejection sampling as select_centers applied it
+    cell by cell, fed one block of scored attempts at a time; ``choice`` is
+    (attempt index, tries, rejected_clearance, rejected_exit) once one is
+    accepted."""
+
+    def __init__(self, c_target):
+        self.target = c_target
+        self.attempt = self.rejected_clearance = self.rejected_exit = 0
+        self.candidates: list = []  # (ratio, attempt)
+        self.choice = None
+
+    def accept(self, candidate):
+        attempt = candidate[1]
+        self.choice = (attempt - 1, attempt, self.rejected_clearance, self.rejected_exit)
+
+    def feed(self, ratios, clear, exits):
+        for ratio, ok_clear, ok_exit in zip(ratios.tolist(), clear.tolist(), exits.tolist()):
+            self.attempt += 1
+            if not ok_clear:
+                self.rejected_clearance += 1
+                continue
+            if not ok_exit:
+                self.rejected_exit += 1
+                continue
+            self.candidates.append((ratio, self.attempt))
+            if self.target is None and len(self.candidates) >= deform._BATCH:
+                self.target = 4.0 * statistics.median(c[0] for c in self.candidates)
+                for candidate in self.candidates:
+                    if candidate[0] <= self.target:
+                        return self.accept(candidate)
+            elif self.target is not None and ratio <= self.target:
+                return self.accept(self.candidates[-1])
+
+    def finish(self):
+        """The choice once _MAX_TRIES candidates found none acceptable."""
+        if self.candidates and self.target is None:
+            return self.accept(min(self.candidates, key=lambda c: c[0]))
+        raise CenterSelectionError("no acceptable center")
+
+
+class _ScriptedKernel:
+    """Stands in for project_pieces: scores each cell's next block of
+    scripted attempts, with the scripted ratio as projected volume (the
+    totals are 1), no track and no image pieces."""
+
+    def __init__(self, cells, ratio, clear, exits):
+        self.row = {cell: l for l, cell in enumerate(cells)}
+        self.used = [0] * len(cells)
+        self.script = ratio, clear, exits
+
+    def __call__(self, cx, cells, centers, pieces):
+        L, C, m = centers.shape
+        P, J = pieces.points.shape[1], m + 1
+        rows = [self.row[cell] for cell in cells]
+        for l in rows:
+            self.used[l] += C
+        proj, clear, exits = (np.array([a[l, self.used[l] - C:self.used[l]] for l in rows])
+                              for a in self.script)
+        return deform.Projections(
+            tuple(cells), 0, centers, proj, np.zeros((L, C)), np.zeros((L, C, P)), clear, exits,
+            np.zeros((L, C, P, J, 1, 0)), np.zeros((L, C, P, J), dtype=int),
+            np.zeros((L, C, P, J, 1, m - 1)))
+
+
+@st.composite
+def _attempt_scripts(draw):
+    """Ratios and verdicts of 64 attempts for 1 to 3 cells, each cell with
+    0, a few, exactly 8 or many valid attempts, and ratios with ties."""
+    L = draw(st.integers(1, 3))
+    ratio = np.zeros((L, deform._MAX_TRIES))
+    clear, exits = np.ones((2, L, deform._MAX_TRIES), dtype=bool)
+    for l in range(L):
+        n = draw(st.sampled_from([0, 1, 3, 7, 8, 12, 40, 64]))
+        valid = draw(st.sets(st.integers(0, deform._MAX_TRIES - 1), min_size=n, max_size=n))
+        by_clearance = draw(st.lists(st.booleans(), min_size=deform._MAX_TRIES,
+                                     max_size=deform._MAX_TRIES))
+        for a in set(range(deform._MAX_TRIES)) - valid:
+            (clear if by_clearance[a] else exits)[l, a] = False
+        ratio[l] = draw(st.lists(st.sampled_from([0.25, 1.0, 3.0, 40.0]) | st.floats(0.0, 100.0),
+                                 min_size=deform._MAX_TRIES, max_size=deform._MAX_TRIES))
+    return ratio, clear, exits, draw(st.sampled_from([None, None, 0.5, 3.0]))
+
+
+class TestAcceptanceRule:
+    """select_centers' array acceptance rule against the cell-by-cell
+    search it replaced, on scripted scores."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_attempt_scripts())
+    def test_same_choices_as_cell_by_cell_search(self, torus8, script):
+        ratio, clear, exits, c_target = script
+        cells = torus8.cells_of_dim(2)[:len(ratio)]
+        pieces = [[Piece(cell, torus8.chart(cell).model.mean(axis=0)[None])] for cell in cells]
+        want, blocks = [], []
+        for l in range(len(cells)):
+            search, fed = _CenterSearch(c_target), 0
+            while search.choice is None and fed < deform._MAX_TRIES:
+                search.feed(*(s[l, fed:fed + deform._BATCH] for s in (ratio, clear, exits)))
+                fed += deform._BATCH
+            blocks.append(fed // deform._BATCH)
+            try:
+                if search.choice is None:
+                    search.finish()
+                    event("fewer than 8 valid: the first least ratio")
+                else:
+                    event("explicit target" if c_target else "target from the median")
+                want.append(search.choice)
+            except CenterSelectionError:
+                event("no acceptable center")
+                want.append(None)
+        rngs = [np.random.default_rng(l) for l in range(len(cells))]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(deform, "project_pieces", _ScriptedKernel(cells, ratio, clear, exits))
+            if None in want:
+                with pytest.raises(CenterSelectionError) as err:
+                    deform.select_centers(torus8, cells, pieces, [1.0] * len(cells), rngs,
+                                          c_target)
+                infos = err.value.accepted
+                assert len(infos) == want.index(None)
+            else:
+                infos, calls = deform.select_centers(torus8, cells, pieces, [1.0] * len(cells),
+                                                     rngs, c_target)
+                assert calls == max(blocks)
+        for l, info in enumerate(infos):
+            attempt, tries, rejected_clearance, rejected_exit = want[l]
+            assert (info.tries, info.rejected_clearance, info.rejected_exit) == (
+                tries, rejected_clearance, rejected_exit)
+            assert info.ratio == ratio[l, attempt]
 
 
 class TestCenterRejections:
@@ -1326,7 +1568,7 @@ class TestCenterRejections:
         # with the clearance test off, the candidate on the point piece
         # reaches the exit-ray verdict and fails it
         monkeypatch.setattr(deform, "_too_close",
-                            lambda x, pts, m: np.zeros(x.shape[:-1], dtype=bool))
+                            lambda x, pts: np.zeros(x.shape[:-1], dtype=bool))
         cell = (0, 1, 2)
         piece = self._point_at_first_draw(unit_square, cell)
         info = select_center(unit_square, cell, [piece], c_target=1e9,
@@ -1675,7 +1917,7 @@ class TestEdgeCoverage:
     def test_collapse_and_certificate_agree(self, radius, edge, gap, covered):
         cx = flat_torus_complex(8, radius=radius)
         piece = Piece(edge, np.array([[gap], [cx.chart(edge).model[1, 0]]]))
-        assert deform.covers_edge(cx, edge, [piece]) == covered
+        assert deform.covers_edge(cx, edge, piece.points[None]) == covered
         chain = PolyChain(1, [piece])
         if covered:
             assert whole_edges_of(cx, chain) == [edge]
