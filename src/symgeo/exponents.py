@@ -175,10 +175,6 @@ class GrowthBudget:
     gain_exponent: Fraction
     loss_exponent: Fraction
 
-    @property
-    def feasible(self) -> bool:
-        return self.gain_exponent > self.loss_exponent
-
 
 def growth_exponents(rd: RootDatum, k: int) -> GrowthBudget:
     """Volume growth exponent and the (gain, loss) exponent pair at codim k."""

@@ -11,14 +11,17 @@ track is the cone over the image minus the cone over the part, both from
 the center.  At the chain's own dimension a cell is kept whole exactly when
 covered (mod-2 interval parity for curves).
 
-A level runs on arrays from one chain's blocks (chains.Block) to the next's,
-with no per-cell Python but each cell's seeded stream (_cell_rng): the
-m-hosted pieces are grouped by cell (CellPieces), select_centers draws 8
-candidates per cell as Generator.dirichlet would, one project_pieces call
-scores them against all pieces with solvers and facet maps gathered from the
-complex's arrays, _accept applies the acceptance rule to (cells, attempts)
-arrays, cells still searching draw again together (one kernel call per
-round), and the chosen images (Centers) follow the pieces below m.
+A level above the chain's dimension runs on arrays from one chain's blocks
+(chains.Block) to the next's, with no per-cell Python: the m-hosted pieces
+are grouped by cell (CellPieces), select_centers draws 8 candidates for
+every cell at once from one generator seeded by the chain seed and the
+level, as Generator.dirichlet would, one project_pieces call scores them
+against all pieces with solvers and facet maps gathered from the complex's
+arrays, _accept applies the acceptance rule to (cells, attempts) arrays,
+cells still searching draw again together (one draw and one kernel call per
+round), and the chosen images (Centers) follow the pieces below m.  A
+cell's candidates depend on the seed, the level and the set of occupied
+cells.
 """
 
 from __future__ import annotations
@@ -428,18 +431,26 @@ class Centers:
                           int(self.rejected_clearance[l]), int(self.rejected_exit[l]))
 
 
+def _draw(rng: np.random.Generator, cells: Sequence[Cell], shape) -> np.ndarray:
+    """One round's exponentials, shape (A, _BATCH, m+1): row a is the block
+    of cells[a], the a-th cell still searching."""
+    return rng.standard_exponential(shape)
+
+
 def select_centers(cx: GeoComplex, cells: Sequence[Cell], pieces, totals: Sequence[float],
-                   rngs: Sequence, c_target: float | None = None):
+                   rng: np.random.Generator, c_target: float | None = None):
     """Seeded rejection sampling of a projection center in each of the cells
-    of one dimension m, cell l drawing from rngs[l].
+    of one dimension m, all drawing from one generator rng.
 
     ``pieces`` holds each cell's pieces, as lists of Pieces or as their
     CellPieces, all of one dimension k < m and of total k-volume totals[l].
     A candidate's ratio is its larger of projected volume and track over
-    that total, and _accept chooses.  Every cell still searching draws 8
-    candidates as Generator.dirichlet would (the same exponentials,
-    normalized in the same order), and one project_pieces call scores them
-    all; the choices are those of drawing one candidate at a time.  Returns
+    that total, and _accept chooses.  Each round draws one (A, 8, m+1) block
+    of exponentials for the A cells still searching, in cell order, and
+    normalizes each row as Generator.dirichlet would (the same sum, in the
+    same order), so a cell's candidates depend on rng's state and on which
+    cells draw before it; one project_pieces call scores them all, and the
+    choices are those of scoring one candidate at a time.  Returns
     the Centers and the number of kernel calls.  The first cell left without
     a center after _MAX_TRIES candidates raises CenterSelectionError, which
     carries the CenterInfos of the cells before it.
@@ -454,12 +465,12 @@ def select_centers(cx: GeoComplex, cells: Sequence[Cell], pieces, totals: Sequen
     choice, seen = np.full((2, L), -1)
     rounds, active = [], np.arange(L)
     while active.size:
-        draws = np.stack([rngs[l].standard_exponential((_BATCH, m + 1)) for l in active.tolist()])
+        searching = pieces if active.size == L else pieces.take(active)
+        draws = _draw(rng, searching.cells, (active.size, _BATCH, m + 1))
         total = draws[..., 0]
         for i in range(1, m + 1):
             total = total + draws[..., i]
         centers = (draws * (1.0 / total)[..., None]) @ models[active]
-        searching = pieces if active.size == L else pieces.take(active)
         scored = project_pieces(cx, searching.cells, centers, searching)
         block = slice(_BATCH * len(rounds), _BATCH * (len(rounds) + 1))
         ratio[active, block] = np.maximum(scored.proj, scored.track) / totals[active]
@@ -493,10 +504,11 @@ def select_centers(cx: GeoComplex, cells: Sequence[Cell], pieces, totals: Sequen
 
 def select_center(cx: GeoComplex, cell: Cell, pieces: Sequence[Piece],
                   c_target: float | None = None, rng=None) -> CenterInfo:
-    """select_centers for one cell; rng is a Generator or a seed."""
+    """select_centers for one cell; rng is a Generator or a seed.  Its
+    (1, 8, m+1) blocks are the values of (8, m+1) draws from rng."""
     total = sum(simplex_volume(p.points) for p in pieces)
     return select_centers(cx, [cell], [list(pieces)], [total],
-                          [np.random.default_rng(rng)], c_target)[0][0]
+                          np.random.default_rng(rng), c_target)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -581,11 +593,6 @@ class FFResult:
                 "max_cell_ratio": self.max_cell_ratio}
 
 
-def _cell_rng(seed: int, level: int, cell: Cell) -> np.random.Generator:
-    # per-cell substream, independent of processing order
-    return np.random.default_rng([seed & 0x7FFFFFFF, level, *cell])
-
-
 def _group_by_cell(cx: GeoComplex, block: Block, volumes: np.ndarray):
     """A block's pieces as CellPieces, cells in order and each cell's pieces
     in list order, and each cell's total volume, summed in list order."""
@@ -608,6 +615,7 @@ def ff_step(cx: GeoComplex, chain: PolyChain, m: int, seed: int,
 
     For m > k every m-hosted piece is projected from the center its cell's
     select_centers choice, reusing the images that center was scored with;
+    the level draws from one generator seeded by [seed, m] (seed >= 0);
     for m = k cells are kept exactly when covered.  The pieces below m pass
     through, and the new ones follow them.  The chain is normalized first
     unless normalize_chain returned it for cx, and the new chain after.
@@ -641,7 +649,7 @@ def ff_step(cx: GeoComplex, chain: PolyChain, m: int, seed: int,
             added = (m, arrays.verts[grouped.ids[kept]], arrays.models[grouped.ids[kept]])
         else:
             centers, calls = select_centers(cx, cells, grouped, totals,
-                                            [_cell_rng(seed, m, cell) for cell in cells], c_target)
+                                            np.random.default_rng([seed, m]), c_target)
             added = (m - 1, centers.hosts, centers.images)
             track = float(_running_sum(np.append(0.0, centers.tracks[grouped.filled])))
             ratio = max(0.0, float(centers.ratio.max()))
@@ -665,7 +673,10 @@ def ff_deform(cx: GeoComplex, chain: PolyChain, seed: int,
               c_target: float | None = None) -> FFResult:
     """Full deformation of a k-chain into the k-skeleton, one level at a
     time: the final chain is a union of whole k-cells (cells the chain
-    covered), everything else collapsed into the (k-1)-skeleton."""
+    covered), everything else collapsed into the (k-1)-skeleton.  The seed
+    is a nonnegative integer; each level's draws depend on all of it."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if not chain.k < cx.dim:
         raise ValueError("chain dimension must be below the complex dimension")
     steps = []

@@ -61,18 +61,6 @@ class Spectrum:
     def trace(self):
         return sum(v * m for v, m in self.entries)
 
-    def scaled(self, c) -> "Spectrum":
-        return Spectrum.from_pairs((v * c, m) for v, m in self.entries)
-
-    def shifted_by(self, pairs) -> "Spectrum":
-        return Spectrum.from_pairs(list(self.entries) + list(pairs))
-
-    def to_json(self) -> list[dict]:
-        def enc(v):
-            return str(v) if isinstance(v, (Fraction, int)) else float(v)
-
-        return [{"eigenvalue": enc(v), "mult": m} for v, m in self.entries]
-
 
 def iwasawa_linear_spectrum(rd: RootDatum, xi: Covector) -> Spectrum:
     """Eigenvalues of Hess(xi(H)): zeros on the flat, -<alpha,xi> per root."""

@@ -91,10 +91,6 @@ class TangentFrame:
     vectors: np.ndarray
     labels: tuple[tuple, ...]
 
-    def gram_defect(self) -> float:
-        gram = 2 * self.n * np.einsum("aij,bji->ab", self.vectors, self.vectors)
-        return float(np.abs(gram - np.eye(len(self.vectors))).max())
-
 
 def sl_frame(n: int) -> TangentFrame:
     """Cartan directions first, then one symmetric vector per root (i, j)."""

@@ -5,13 +5,13 @@ sparse integer support in e-coordinates, ``((index, coefficient), ...)``
 sorted by index, with its multiplicity, and the scale of the dual inner
 product.  The SLn root e_i - e_j is ``((i, 1), (j, -1))``; the rank-one
 roots alpha and 2 alpha are ``((0, 1),)`` and ``((0, 2),)``.  So SL(n) data
-take O(n^2) memory, and ``root_pairings``, ``rho``, ``theta_so`` and the
-strong-orthogonality check run on the supports in O(n^2) time.  The dense
-views ``root_coords`` (integer simple-root coordinates) and
+take O(n^2) memory, and ``root_pairings`` runs on the supports in O(n^2)
+time; ``rho`` and ``theta_so`` are closed forms in O(n) that read no root.
+The dense views ``root_coords`` (integer simple-root coordinates) and
 ``positive_roots`` (covectors) are derived on demand.  Only plain data are
-cached on a datum (``root_coords``, ``dual_gram``, the coordinates of
-``theta_so``): a cached Covector would point back at its datum, a reference
-cycle that only the cyclic collector frees.
+cached on a datum (``root_coords``, ``dual_gram``): a cached Covector would
+point back at its datum, a reference cycle that only the cyclic collector
+frees.
 
 Covector coordinates are kept in the simple-root basis with exact rational
 entries, so that integrality and Weyl-invariance checks are exact; floats
@@ -146,15 +146,6 @@ class RootDatum:
     def positive_roots(self) -> tuple[tuple[Covector, int], ...]:
         return tuple((Covector(coords, self), mult) for coords, mult in self.root_coords)
 
-    @cached_property
-    def _theta_so_coords(self) -> tuple[Fraction, ...]:
-        """Coordinates of ``theta_so``, so its set is checked for strong
-        orthogonality once."""
-        members = _strongly_orthogonal_supports(self)
-        if not _is_strongly_orthogonal(self, members):
-            raise AssertionError("chosen set failed the strong-orthogonality check")
-        return _half_sum(self, ((support, 1) for support in members)).coords
-
     @property
     def simple_roots(self) -> tuple[Covector, ...]:
         return tuple(
@@ -190,9 +181,6 @@ class RootDatum:
 
     def covector(self, coords: Sequence) -> Covector:
         return Covector(tuple(Fraction(c) for c in coords), self)
-
-    def zero(self) -> Covector:
-        return self.covector([0] * self.rank)
 
     def to_json_dict(self) -> dict:
         return {
@@ -297,16 +285,18 @@ def _root_coords(rd: RootDatum, support: Support) -> tuple[int, ...]:
     return _simple_coords(rd, _e_vector(rd, [(support, 1)]))
 
 
-def _half_sum(rd: RootDatum, weighted: Iterable[tuple[Support, int]]) -> Covector:
-    """Half of the sum of root supports counted with multiplicity."""
-    return Covector(
-        tuple(Fraction(s, 2) for s in _simple_coords(rd, _e_vector(rd, weighted))), rd
-    )
+def _halved(rd: RootDatum, e: Sequence[int]) -> Covector:
+    """Half of the covector with integer e-coordinates e."""
+    return Covector(tuple(Fraction(s, 2) for s in _simple_coords(rd, e)), rd)
 
 
 def rho(rd: RootDatum) -> Covector:
-    """Half-sum of the positive roots counted with multiplicity."""
-    return _half_sum(rd, rd.roots)
+    """Half-sum of the positive roots counted with multiplicity, in closed
+    form: 2 rho is (m_alpha + 2 m_2alpha) alpha for the rank-one families,
+    and for SLn its e-coordinates are n-1-2i, 0-based."""
+    if rd.family == "SLn":
+        return _halved(rd, [rd.n - 1 - 2 * i for i in range(rd.n)])
+    return _halved(rd, [rd.m_alpha + 2 * rd.m_2alpha])
 
 
 def _strongly_orthogonal_supports(rd: RootDatum) -> list[Support]:
@@ -324,26 +314,9 @@ def strongly_orthogonal_set(rd: RootDatum) -> list[Covector]:
 
 
 def theta_so(rd: RootDatum) -> Covector:
-    """Half-sum of the strongly orthogonal root set; rejects rank-one data."""
-    return Covector(rd._theta_so_coords, rd)
-
-
-def _combine(a: Support, b: Support, sign: int) -> Support:
-    """The support of a + sign * b, in canonical form."""
-    total = dict(a)
-    for k, c in b:
-        total[k] = total.get(k, 0) + sign * c
-    return tuple(sorted((k, c) for k, c in total.items() if c))
-
-
-def _is_strongly_orthogonal(rd: RootDatum, members: Sequence[Support]) -> bool:
-    """True iff no sum or difference of two members is a root."""
-    positive = {support for support, _ in rd.roots}
-
-    def is_root(support: Support) -> bool:
-        return support in positive or tuple((k, -c) for k, c in support) in positive
-
-    return not any(
-        is_root(_combine(a, b, 1)) or is_root(_combine(a, b, -1))
-        for a, b in itertools.combinations(members, 2)
-    )
+    """Half-sum of the strongly orthogonal root set; rejects rank-one data.
+    Its members e_i - e_{n-1-i} have disjoint supports, so 2 theta_so has
+    e-coordinates 1 on the first n//2 indices, -1 on the last n//2 and 0
+    between."""
+    half = len(_strongly_orthogonal_supports(rd))
+    return _halved(rd, [1] * half + [0] * (rd.n % 2) + [-1] * half)

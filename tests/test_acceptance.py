@@ -25,7 +25,7 @@ from symgeo.exponents import (
 )
 from symgeo.ffengine import flat_torus_complex
 from symgeo.ffengine.suite import run_deformation_suite
-from symgeo.hesspec import iwasawa_exp_spectrum, tau_k
+from symgeo.hesspec import Spectrum, iwasawa_exp_spectrum, tau_k
 from symgeo.rootdata import (
     build_rank_one,
     build_sln,
@@ -85,7 +85,8 @@ def test_criterion_2_octonionic_spectrum():
     with Budget("criterion 2: octonionic spectrum, codimension gap", 1.0):
         rd = build_rank_one("H2O", 2)
         s = Fraction(16)
-        spec = iwasawa_exp_spectrum(rd, s * rd.alpha).scaled(1 / s)
+        spec = iwasawa_exp_spectrum(rd, s * rd.alpha)
+        spec = Spectrum.from_pairs((v / s, m) for v, m in spec.entries)
         assert spec.entries == (
             (Fraction(16), 1),
             (Fraction(-1), 8),
@@ -189,7 +190,7 @@ def test_criterion_7_spherical_identities():
             convexity = spherical.logconvexity_check(
                 n,
                 ts[1] * direction,
-                rd.zero(),
+                rd.covector([0] * rd.rank),
                 rho(rd),
                 grid=[0.0, 0.25, 0.5, 0.75, 1.0],
                 N=60_000,

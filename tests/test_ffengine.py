@@ -517,6 +517,27 @@ class TestArrayChains:
         # normalizes the loop once, and each level normalizes its output
         assert calls[0] == 2 * (1 + 2)
 
+    def test_one_generator_per_level_that_selects_centers(self, torus8, tetra, monkeypatch):
+        # levels with m > k draw every cell's candidates from one generator
+        # seeded by [seed, m]; the chain's own level draws nothing
+        loop, _ = random_loop_chain(torus8, seed=5)
+        cell = (0, 1, 2, 3)
+        amb = np.array([[0.2, 0.2, 0.2], [0.3, 0.25, 0.15]])
+        segment = PolyChain(1, [Piece(cell, tetra.to_chart(cell, amb))])
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def counting(seed=None):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        ff_deform(torus8, loop, seed=5)
+        assert seeds == [[5, 2]]
+        seeds.clear()
+        ff_deform(tetra, segment, seed=4)
+        assert seeds == [[4, 3], [4, 2]]
+
     def test_normalized_mark_is_per_complex_and_weak(self, torus8):
         loop, _ = random_loop_chain(torus8, seed=3)
         other = flat_torus_complex(8)
@@ -846,22 +867,45 @@ class TestFFDeform:
         assert top.cells > 1 and top.kernel_calls == 1
 
     def test_level_selection_equals_one_cell_at_a_time(self, unit_square):
-        # the first draw of cell (0, 1, 2) lands on its point piece, so that
-        # cell needs a second block of candidates: two kernel calls in all
+        # one generator draws both cells' first blocks, then a second block
+        # for cell (0, 1, 2): its first draw lands on its point piece, so
+        # that cell needs more candidates, two kernel calls in all.  Each
+        # cell alone, drawing its own rows of those blocks, chooses the same
         cells = [(0, 1, 2), (0, 2, 3)]
-        first = np.random.default_rng(5).dirichlet(np.ones(3), size=8)[:1]
-        weights = (first, np.array([[0.3, 0.3, 0.4]]))
+        rng = np.random.default_rng(5)
+        first, second = rng.standard_exponential((2, 8, 3)), rng.standard_exponential((1, 8, 3))
+        weights = (first[0, :1] / first[0, :1].sum(), np.array([[0.3, 0.3, 0.4]]))
         pieces = [[Piece(cell, w @ unit_square.chart(cell).model)]
                   for cell, w in zip(cells, weights)]
         totals = [sum(piece_volumes(ps).tolist()) for ps in pieces]
-        infos, calls = deform.select_centers(
-            unit_square, cells, pieces, totals, [np.random.default_rng(s) for s in (5, 6)])
+        infos, calls = deform.select_centers(unit_square, cells, pieces, totals,
+                                             np.random.default_rng(5))
         assert calls == 2
         assert [i.rejected_clearance for i in infos] == [1, 0]
-        for cell, ps, seed, info in zip(cells, pieces, (5, 6), infos):
-            one = select_center(unit_square, cell, ps, rng=seed)
+        rows = (np.concatenate([first[0], second[0]]), first[1])
+        for cell, ps, own, info in zip(cells, pieces, rows, infos):
+            one = select_center(unit_square, cell, ps, rng=_FixedDraws(own))
             assert np.array_equal(one.point, info.point)
             assert (one.tries, one.ratio, one.tracks) == (info.tries, info.ratio, info.tracks)
+
+    def test_seeds_apart_by_two_to_the_31_draw_different_candidates(self, torus8, monkeypatch):
+        # every bit of the seed reaches the level's generator
+        loop, _ = random_loop_chain(torus8, seed=5)
+        blocks = []
+        draw = deform._draw
+
+        def recording(*args):
+            blocks.append(draw(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(deform, "_draw", recording)
+        low = ff_deform(torus8, loop, seed=12345).to_json_dict()
+        high = ff_deform(torus8, loop, seed=12345 + 2 ** 31).to_json_dict()
+        assert len(blocks) == 2 and blocks[0].shape == blocks[1].shape
+        assert not np.array_equal(blocks[0], blocks[1])
+        assert low != high
+        with pytest.raises(ValueError, match="nonnegative"):
+            ff_deform(torus8, loop, seed=-1)
 
     def test_rejects_top_dimension(self, torus8):
         cell = torus8.cells_of_dim(2)[0]
@@ -1406,9 +1450,9 @@ class TestProjectPieces:
 
 
 class _FixedDraws(np.random.Generator):
-    """Generator whose exponential draws are given rows, in order; rows
-    that sum to 1 are the Dirichlet draws that select_centers makes of
-    them."""
+    """Generator for one cell whose exponential draws are given rows, in
+    order, as (1, B, m+1) blocks; rows that sum to 1 are the Dirichlet
+    draws that select_centers makes of them."""
 
     def __init__(self, rows):
         super().__init__(np.random.PCG64(0))
@@ -1416,8 +1460,9 @@ class _FixedDraws(np.random.Generator):
 
     def standard_exponential(self, size=None):
         # a block past the given rows repeats the last one
-        out, self.rows = self.rows[:size[0]], self.rows[size[0]:]
-        return np.vstack([out, np.repeat(out[-1:], size[0] - len(out), axis=0)])
+        n = size[-2]
+        out, self.rows = self.rows[:n], self.rows[n:]
+        return np.vstack([out, np.repeat(out[-1:], n - len(out), axis=0)]).reshape(size)
 
 
 class _CenterSearch:
@@ -1531,18 +1576,17 @@ class TestAcceptanceRule:
             except CenterSelectionError:
                 event("no acceptable center")
                 want.append(None)
-        rngs = [np.random.default_rng(l) for l in range(len(cells))]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(deform, "project_pieces", _ScriptedKernel(cells, ratio, clear, exits))
             if None in want:
                 with pytest.raises(CenterSelectionError) as err:
-                    deform.select_centers(torus8, cells, pieces, [1.0] * len(cells), rngs,
-                                          c_target)
+                    deform.select_centers(torus8, cells, pieces, [1.0] * len(cells),
+                                          np.random.default_rng(0), c_target)
                 infos = err.value.accepted
                 assert len(infos) == want.index(None)
             else:
                 infos, calls = deform.select_centers(torus8, cells, pieces, [1.0] * len(cells),
-                                                     rngs, c_target)
+                                                     np.random.default_rng(0), c_target)
                 assert calls == max(blocks)
         for l, info in enumerate(infos):
             attempt, tries, rejected_clearance, rejected_exit = want[l]
@@ -1584,15 +1628,38 @@ class TestCenterRejections:
 _GOLDEN = json.loads((Path(__file__).parent / "data" / "ff_golden.json").read_text())
 
 
+def _cell_rng(seed: int, level: int, cell) -> np.random.Generator:
+    """The stream the golden centers were recorded with: one generator per
+    cell and level, seeded from the low 31 bits of the seed."""
+    return np.random.default_rng([seed & 0x7FFFFFFF, level, *cell])
+
+
+def _replay_cell_streams(monkeypatch, seed: int):
+    """Make each level draw every cell's blocks from its own _cell_rng
+    stream, continued from round to round, in place of the level's one
+    generator."""
+    streams = {}
+
+    def draw(rng, cells, shape):
+        for cell in cells:
+            if cell not in streams:
+                streams[cell] = _cell_rng(seed, len(cell) - 1, cell)
+        return np.stack([streams[cell].standard_exponential(shape[1:]) for cell in cells])
+
+    monkeypatch.setattr(deform, "_draw", draw)
+
+
 class TestFFGolden:
     """Center choices, whole cells, tracks and ratios of seeded deformations
     on the 8x8 torus, recorded from the scalar per-candidate, per-piece
-    projection loop: three loops per winding class with the default
-    acceptance rule, four with c_target = 3, one with c_target = 1.5 and one
-    that runs out of tries at c_target = 2."""
+    projection loop with per-cell streams (_cell_rng), which these tests
+    replay: three loops per winding class with the default acceptance rule,
+    four with c_target = 3, one with c_target = 1.5 and one that runs out of
+    tries at c_target = 2."""
 
     @pytest.mark.parametrize("case", _GOLDEN, ids=lambda c: f"seed{c['seed']}-c{c['c_target']}")
     def test_same_choices(self, torus8, monkeypatch, case):
+        _replay_cell_streams(monkeypatch, case["seed"])
         tries = []
         select = deform.select_centers
 
@@ -1627,6 +1694,7 @@ class TestFFGolden:
                                                                    case):
         # why select_centers needs no path for empty cells or for pieces as
         # large as their cell: ff_step never hands it either
+        _replay_cell_streams(monkeypatch, case["seed"])
         groups = []
         select = deform.select_centers
 

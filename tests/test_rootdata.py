@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 from collections import Counter
@@ -49,6 +50,36 @@ def dense_strongly_orthogonal(rd, members):
         if tuple(x - y for x, y in zip(a, b)) in roots:
             return False
     return True
+
+
+def combine(a, b, sign):
+    """The support of a + sign * b, in canonical form."""
+    total = dict(a)
+    for k, c in b:
+        total[k] = total.get(k, 0) + sign * c
+    return tuple(sorted((k, c) for k, c in total.items() if c))
+
+
+def is_strongly_orthogonal(rd, members):
+    """Oracle on sparse supports: no sum or difference of two members is a
+    root."""
+    positive = {support for support, _ in rd.roots}
+
+    def is_root(support):
+        return support in positive or tuple((k, -c) for k, c in support) in positive
+
+    return not any(is_root(combine(a, b, 1)) or is_root(combine(a, b, -1))
+                   for a, b in itertools.combinations(members, 2))
+
+
+def half_sum(rd, weighted):
+    """Oracle: half of the sum of root supports counted with multiplicity."""
+    e = [0] * rd.e_dim
+    for support, weight in weighted:
+        for k, c in support:
+            e[k] += weight * c
+    coords = list(itertools.accumulate(e[:rd.rank])) if rd.family == "SLn" else e
+    return rd.covector([Fraction(c, 2) for c in coords])
 
 
 class TestBuildRankOne:
@@ -151,6 +182,13 @@ class TestRho:
         two_rho = Fraction(2) * rho(rd)
         assert two_rho.e_coords() == (3, 1, -1, -3)
 
+    @pytest.mark.parametrize("family,n", [("SLn", n) for n in range(2, 65)]
+                             + [(f, n) for f in ("HnR", "HnC", "HnH") for n in range(2, 7)]
+                             + [("H2O", 2)])
+    def test_closed_form_is_the_half_sum_of_the_roots(self, family, n):
+        rd = build_sln(n) if family == "SLn" else build_rank_one(family, n)
+        assert rho(rd).coords == half_sum(rd, rd.roots).coords
+
     def test_self_pairing_identity(self):
         # sum over positive roots of <alpha, 2 rho> equals <2 rho, 2 rho>
         for n in range(2, 8):
@@ -186,21 +224,20 @@ class TestTheta:
             assert tuple(x + y for x, y in zip(a.coords, b.coords)) not in roots
             assert tuple(x - y for x, y in zip(a.coords, b.coords)) not in roots
 
-    def test_check_runs_once_per_datum(self, monkeypatch):
-        calls = []
-        check = rootdata._is_strongly_orthogonal
+    @pytest.mark.parametrize("n", range(3, 65))
+    def test_closed_form_is_the_half_sum_of_the_set(self, n):
+        rd = build_sln(n)
+        members = rootdata._strongly_orthogonal_supports(rd)
+        assert is_strongly_orthogonal(rd, members)
+        assert theta_so(rd).coords == half_sum(rd, ((s, 1) for s in members)).coords
 
-        def counting(rd, members):
-            calls.append(rd)
-            return check(rd, members)
-
-        monkeypatch.setattr(rootdata, "_is_strongly_orthogonal", counting)
+    def test_closed_forms_read_no_roots(self):
+        # rho and theta_so are O(n): a datum with its root list taken away
+        # gives the same covectors
         rd = build_sln(16)
-        assert r_lower_bound(rd) == r_lower_bound(rd)
-        assert theta_so(rd) == theta_so(rd)
-        assert calls == [rd]
-        theta_so(build_sln(16))
-        assert len(calls) == 2
+        bare = dataclasses.replace(rd, roots=None)
+        assert rho(bare).coords == rho(rd).coords
+        assert theta_so(bare).coords == theta_so(rd).coords
 
     def test_cache_makes_no_reference_cycle(self):
         # data freed by reference counting keep the memory of repeated rx flat;
@@ -242,7 +279,7 @@ class TestBilinearity:
         rd = build_sln(5)
         xi = rd.covector([1, 2, 0, -1])
         eta = rd.covector([0, 1, 1, 3])
-        assert pair(rd, xi, rd.zero()) == 0
+        assert pair(rd, xi, rd.covector([0] * rd.rank)) == 0
         assert pair(rd, xi, eta) == pair(rd, eta, xi)
         assert pair(rd, xi + eta, eta) == pair(rd, xi, eta) + pair(rd, eta, eta)
 
@@ -333,8 +370,7 @@ class TestSparseRoots:
         picks = data.draw(st.lists(st.integers(0, len(rd.roots) - 1), unique=True, max_size=5))
         supports = [rd.roots[i][0] for i in picks]
         dense = [rd.root_coords[i][0] for i in picks]
-        assert rootdata._is_strongly_orthogonal(rd, supports) == dense_strongly_orthogonal(
-            rd, dense)
+        assert is_strongly_orthogonal(rd, supports) == dense_strongly_orthogonal(rd, dense)
 
 
 class TestPlainData:

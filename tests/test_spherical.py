@@ -220,7 +220,7 @@ class TestLogConvexity:
     def test_segment_zero_to_rho_sl2(self):
         rd = build_sln(2)
         report = sph.logconvexity_check(
-            2, [1.2, -1.2], rd.zero(), rho(rd),
+            2, [1.2, -1.2], rd.covector([0] * rd.rank), rho(rd),
             grid=[0.0, 0.25, 0.5, 0.75, 1.0], N=60_000, seed=8,
         )
         assert report["pass"], report
