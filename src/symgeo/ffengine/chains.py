@@ -7,8 +7,10 @@ chain prunes degenerate pieces by one stacked Gram determinant per block
 (which also gives the volumes) and cancels identical pieces in pairs (Z/2)
 by one np.unique per block on keys of the host and the rounded, row-sorted
 points: a key with an odd count keeps its last occurrence, in the order of
-those occurrences.  normalize_chain and validate_chain take one stacked
-barycentric product per block, with the solvers of the complex's arrays.
+those occurrences.  A chain looks its blocks' hosts up in a complex once
+(``PolyChain.host_ids``), and normalize_chain and validate_chain take one
+stacked barycentric product per block, with the solvers of the complex's
+arrays.
 """
 
 from __future__ import annotations
@@ -131,6 +133,8 @@ class PolyChain:
         # weak reference to the complex normalize_chain returned this chain
         # for, so the mark keeps no complex (or its caches) alive
         self._normalized_in: weakref.ref | None = None
+        # (weak reference to a complex, {d: host_ids of block d in it})
+        self._ids: tuple = (None, {})
 
     @cached_property
     def pieces(self) -> tuple[Piece, ...]:
@@ -145,10 +149,30 @@ class PolyChain:
     def max_host_dim(self) -> int:
         return max(self.blocks, default=-1)
 
+    def host_ids(self, cx: GeoComplex, d: int, known: np.ndarray | None = None) -> np.ndarray:
+        """Positions in cx.cells_of_dim(d) of the hosts of block d, looked up
+        (GeoComplex.cell_index) once per chain and complex, or taken from
+        ``known`` when a builder has looked them up already."""
+        ref, ids = self._ids
+        if ref is None or ref() is not cx:
+            ids = {}
+            self._ids = (weakref.ref(cx), ids)
+        if known is not None:
+            ids[d] = known
+        elif d not in ids:
+            ids[d] = cx.cell_index(self.blocks[d].hosts)
+        return ids[d]
+
+    def mark_normalized(self, cx: GeoComplex):
+        """Record that every piece is hosted in the lowest face of cx
+        containing it, so that normalized_for(cx) is true and
+        normalize_chain(cx, self) returns the chain at once."""
+        self._normalized_in = weakref.ref(cx)
+
     def normalized_for(self, cx: GeoComplex) -> bool:
-        """Whether normalize_chain(cx, ...) returned this chain, so every
-        piece is already hosted in the lowest face of cx containing it (the
-        pieces are fixed at construction)."""
+        """Whether normalize_chain(cx, ...) returned this chain or it was
+        marked for cx, so every piece is already hosted in the lowest face
+        of cx containing it (the pieces are fixed at construction)."""
         return self._normalized_in is not None and self._normalized_in() is cx
 
 
@@ -188,18 +212,20 @@ def normalize_chain(cx: GeoComplex, chain: PolyChain) -> PolyChain:
     coordinate; otherwise only the flagged pieces are re-hosted and the
     chain is rebuilt, so pieces that now share a face cancel mod 2.  The
     returned chain, which may be the argument, is marked so that its
-    ``normalized_for(cx)`` is true.
+    ``normalized_for(cx)`` is true; a chain so marked is returned at once.
     """
+    if chain.normalized_for(cx):
+        return chain
     flagged = []
-    for block in chain.blocks.values():
-        bary = _bary(cx, cx.cell_index(block.hosts), block.points)
+    for d, block in chain.blocks.items():
+        bary = _bary(cx, chain.host_ids(cx, d), block.points)
         flagged.extend(block.index[(np.abs(bary) <= _CONTAIN_TOL).all(axis=1).any(axis=1)])
     if flagged:
         pieces = list(chain.pieces)
         for i in flagged:
             pieces[i] = normalize_host(cx, pieces[i])
         chain = PolyChain(chain.k, pieces)
-    chain._normalized_in = weakref.ref(cx)
+    chain.mark_normalized(cx)
     return chain
 
 
@@ -209,8 +235,10 @@ def validate_chain(cx: GeoComplex, chain: PolyChain, tol: float = _CONTAIN_TOL):
     order that fails raises ValueError."""
     n = len(chain)
     missing, lo, hi = np.zeros(n, dtype=bool), np.zeros(n), np.ones(n)
-    for block in chain.blocks.values():
-        idx = cx.cell_index(block.hosts, strict=False)
+    for d, block in chain.blocks.items():
+        # a chain normalized for cx is hosted on cells of cx
+        idx = (chain.host_ids(cx, d) if chain.normalized_for(cx)
+               else cx.cell_index(block.hosts, strict=False))
         missing[block.index] = idx < 0
         at, found = block.index[idx >= 0], idx >= 0
         bary = _bary(cx, idx[found], block.points[found])

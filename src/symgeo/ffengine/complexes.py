@@ -5,8 +5,9 @@ carries an affine chart into R^dim built from an orthonormal basis of its
 affine hull, so for complexes whose simplices are flat in the ambient space
 the charts are exact isometries and chart distortion is measurable via
 singular values.  Per dimension the complex keeps its cells' vertex ids,
-models, barycentric solvers and facet maps stacked (``cell_arrays``), which
-the collapse gathers by cell position (``cell_index``).  ``check_uniform``
+charts, barycentric solvers, facet maps and top cofaces stacked
+(``cell_arrays``), which the collapse and the torus certificates gather by
+cell position (``cell_index``).  ``check_uniform``
 checks diameters, distortions and volumes against a uniformity scale and
 returns a plain check report (``symgeo.report``).
 """
@@ -93,10 +94,13 @@ class CellArrays:
 
     verts: np.ndarray    # (n, d+1) vertex ids
     keys: np.ndarray     # (n,) increasing row_keys of verts
+    origins: np.ndarray  # (n, N) chart origin of each cell
+    bases: np.ndarray    # (n, N, d) chart basis of each cell
     models: np.ndarray   # (n, d+1, d) chart coordinates of the vertices
     solvers: np.ndarray  # (n, d+1, d+1) bary_solver of each chart
     linear: np.ndarray   # (n, d+1, d, d-1) for d >= 1
     offset: np.ndarray   # (n, d+1, d-1) for d >= 1
+    tops: np.ndarray     # (n, w) positions of top_cofaces(cell), -1 padded
 
 
 @dataclass(frozen=True)
@@ -210,7 +214,7 @@ class GeoComplex:
 
     def cell_arrays(self, d: int) -> CellArrays:
         """The d-cells' CellArrays, built once per dimension from the charts
-        of the cells and their facets."""
+        of the cells and their facets and from their top cofaces."""
         arrays = self._arrays.get(d)
         if arrays is None:
             cells = self.cells_of_dim(d)
@@ -219,12 +223,20 @@ class GeoComplex:
             maps = [[(c.basis.T @ f.basis, (c.origin - f.origin) @ f.basis) for f in fs]
                     for c, fs in zip(charts, facets)] if d else []
             verts = np.array(cells, dtype=np.int64).reshape(len(cells), d + 1)
+            top_index = self._cell_index.get(self.dim, {})
+            tops = [[top_index[t] for t in self.top_cofaces(c)] for c in cells]
+            width = max(map(len, tops), default=0)
+            N = self.vertices.shape[1]
             arrays = CellArrays(
                 verts, row_keys(verts),
+                np.array([c.origin for c in charts]).reshape(len(cells), N),
+                np.array([c.basis for c in charts]).reshape(len(cells), N, d),
                 np.array([c.model for c in charts]).reshape(len(cells), d + 1, d),
                 np.array([c.bary_solver for c in charts]).reshape(len(cells), d + 1, d + 1),
                 np.array([[a for a, _ in row] for row in maps]),
-                np.array([[b for _, b in row] for row in maps]))
+                np.array([[b for _, b in row] for row in maps]),
+                np.array([t + [-1] * (width - len(t)) for t in tops],
+                         dtype=np.int64).reshape(len(cells), width))
             self._arrays[d] = arrays
         return arrays
 
@@ -235,9 +247,12 @@ class GeoComplex:
         hosts = np.asarray(hosts, dtype=np.int64)
         arrays = self.cell_arrays(hosts.shape[-1] - 1)
         idx = np.searchsorted(arrays.keys, row_keys(hosts))
-        found = idx < len(arrays.keys)
-        found[found] = (arrays.verts[idx[found]] == hosts[found]).all(axis=-1)
-        if strict and not found.all():
+        # a row past the last key is compared with the last cell, or with none
+        last = np.minimum(idx, len(arrays.keys) - 1)
+        found = (arrays.verts[last] == hosts).all(axis=-1) if len(arrays.keys) else idx < 0
+        if found.all():
+            return idx
+        if strict:
             bad = tuple(hosts[~found][0].tolist())
             raise ValueError(f"host {bad} is not a cell of the complex")
         return np.where(found, idx, -1)

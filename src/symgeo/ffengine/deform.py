@@ -9,7 +9,8 @@ projection is projective, so the images of vertices span the image.  A
 stretch on a tie c_i b_j = c_j b_i exits through the lower facet only.  A
 track is the cone over the image minus the cone over the part, both from
 the center.  At the chain's own dimension a cell is kept whole exactly when
-covered (mod-2 interval parity for curves).
+covered (mod-2 interval parity for curves, decided for every edge of a
+level at once by covers_edges).
 
 A level above the chain's dimension runs on arrays from one chain's blocks
 (chains.Block) to the next's, with no per-cell Python: the m-hosted pieces
@@ -516,31 +517,59 @@ def select_center(cx: GeoComplex, cell: Cell, pieces: Sequence[Piece],
 # ---------------------------------------------------------------------------
 
 
-def _edge_intervals(points: np.ndarray) -> list[tuple[float, float]]:
-    """Mod-2 reduction of 1-pieces with points (n, 2, 1) on one edge chart
-    to intervals."""
-    events = sorted(points[..., 0].ravel().tolist())
-    flips = []
-    i = 0
-    while i < len(events):
-        j = i
-        while j + 1 < len(events) and events[j + 1] - events[i] <= _MERGE_TOL:
-            j += 1
-        if (j - i + 1) % 2:
-            flips.append(sum(events[i:j + 1]) / (j - i + 1))
-        i = j + 1
-    return [(lo, hi) for lo, hi in zip(flips[::2], flips[1::2]) if hi - lo > _MERGE_TOL]
+#: fills the endpoint rows of edges with fewer pieces: it sorts last and
+#: lies farther than _MERGE_TOL from every endpoint
+_PAD = np.finfo(float).max
 
 
-def covers_edge(cx: GeoComplex, cell: Cell, points: np.ndarray) -> bool:
-    """Do the 1-pieces with points (n, 2, 1) on an edge cover it exactly
-    once mod 2?  Each end of the covered interval may miss by 1e-6 times the
-    edge length, or by 1e-6 on edges shorter than 1."""
-    length = float(cx.chart(cell).model[1, 0])
-    tol = 1e-6 * max(length, 1.0)
-    intervals = _edge_intervals(points)
-    return (len(intervals) == 1 and abs(intervals[0][0]) <= tol
-            and abs(intervals[0][1] - length) <= tol)
+def covers_edges(cx: GeoComplex, ids: np.ndarray, points: np.ndarray,
+                 filled: np.ndarray) -> np.ndarray:
+    """Which of L edge cells their 1-pieces cover exactly once mod 2, all
+    cells at once on (L, 2P) rows of sorted endpoints: ``ids`` (L,) are
+    the edges' positions in cx.cells_of_dim(1), ``points`` (L, P, 2, 1) the
+    pieces in the edges' charts and ``filled`` (L, P) marks each edge's own
+    pieces.
+
+    An edge's sorted endpoints merge into left-anchored clusters (every
+    endpoint within _MERGE_TOL of its cluster's first), and each cluster of
+    odd size flips the parity at its mean, summed left to right.
+    Consecutive flips pair into intervals, those longer than _MERGE_TOL are
+    kept, and the edge is covered when exactly one is, with each end within
+    1e-6 times the edge length of the edge's end, or 1e-6 on edges shorter
+    than 1.
+    """
+    length = cx.cell_arrays(1).models[ids, 1, 0][:, None]
+    tol = 1e-6 * np.maximum(length, 1.0)
+    L, W = filled.shape[0], 2 * filled.shape[1]
+    events = np.where(filled[..., None], points[..., 0], _PAD).reshape(L, W)
+    events.sort(axis=1)
+    col, row = np.arange(W), np.arange(L)[:, None]
+    # a cluster starts after a gap above _MERGE_TOL; a run of smaller gaps
+    # wider than _MERGE_TOL splits at its first endpoint too far from the
+    # anchor, once per pass, until every cluster is as a sweep forms it
+    start = np.ones((L, W), dtype=bool)
+    start[:, 1:] = events[:, 1:] - events[:, :-1] > _MERGE_TOL
+    while True:
+        anchor = np.maximum.accumulate(np.where(start, col, 0), axis=1)
+        first = events[row, anchor]
+        far = events - first > _MERGE_TOL
+        if not far.any():
+            break
+        start[:, 1:] |= far[:, 1:] & ~far[:, :-1]
+    # a cluster of odd size flips at its last endpoint (the next one starts
+    # a cluster), to its mean, summed left to right from its first
+    size = col - anchor + 1
+    flip = (size % 2 == 1) & (events < _PAD)
+    flip[:, :-1] &= start[:, 1:]
+    total = first
+    for p in range(1, size[flip].max(initial=1)):
+        total = total + np.where(flip & (size > p), events[row, np.minimum(anchor + p, W - 1)], 0.0)
+    # the flips in order, then _PAD; flips 2i and 2i + 1 bound interval i
+    flips = np.sort(np.where(flip, total / size, _PAD), axis=1)
+    lo, hi = flips[:, 0::2], flips[:, 1::2]
+    kept = (hi < _PAD) & (hi - lo > _MERGE_TOL)
+    ends = kept & (np.abs(lo) <= tol) & (np.abs(hi - length) <= tol)
+    return (kept.sum(axis=1) == 1) & ends.any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -593,12 +622,14 @@ class FFResult:
                 "max_cell_ratio": self.max_cell_ratio}
 
 
-def _group_by_cell(cx: GeoComplex, block: Block, volumes: np.ndarray):
-    """A block's pieces as CellPieces, cells in order and each cell's pieces
-    in list order, and each cell's total volume, summed in list order."""
-    ids = cx.cell_index(block.hosts)
+def _group_by_cell(block: Block, ids: np.ndarray, volumes: np.ndarray):
+    """A block's pieces, hosted on the cells at positions ids, as
+    CellPieces, cells in order and each cell's pieces in list order, and
+    each cell's total volume, summed in list order."""
     order = np.argsort(ids, kind="stable")
-    ids, first, n = np.unique(ids[order], return_index=True, return_counts=True)
+    ids = ids[order]
+    first = np.flatnonzero(np.append(True, ids[1:] != ids[:-1]))
+    ids, n = ids[first], np.diff(np.append(first, len(order)))
     row = np.repeat(np.arange(len(ids)), n)
     slot = np.arange(len(order)) - first[row]
     points = np.repeat(block.points[order[first]][:, None], n.max(), axis=1)
@@ -618,7 +649,8 @@ def ff_step(cx: GeoComplex, chain: PolyChain, m: int, seed: int,
     the level draws from one generator seeded by [seed, m] (seed >= 0);
     for m = k cells are kept exactly when covered.  The pieces below m pass
     through, and the new ones follow them.  The chain is normalized first
-    unless normalize_chain returned it for cx, and the new chain after.
+    unless normalize_chain returned it for cx, and the new chain after; at
+    m = k it is normalized by construction and only marked.
     Returns the new chain, the StepTrace, the cells kept whole and the
     largest accepted center ratio.
     """
@@ -635,12 +667,11 @@ def ff_step(cx: GeoComplex, chain: PolyChain, m: int, seed: int,
         size -= len(top.index)
         blocks = {d: Block(b.hosts, b.points, b.index - np.searchsorted(top.index, b.index))
                   for d, b in blocks.items() if d < m}
-        grouped, totals = _group_by_cell(cx, top, chain.volumes)
+        grouped, totals = _group_by_cell(top, chain.host_ids(cx, m), chain.volumes)
         cells = grouped.cells
         if m == chain.k:
             if m == 1:
-                kept = [covers_edge(cx, cell, pts[filled]) for cell, pts, filled
-                        in zip(cells, grouped.points, grouped.filled)]
+                kept = covers_edges(cx, grouped.ids, grouped.points, grouped.filled)
             else:
                 kept = [total >= cx.cell_volume(cell) * (1.0 - 1e-6)
                         for cell, total in zip(cells, totals.tolist())]
@@ -662,6 +693,12 @@ def ff_step(cx: GeoComplex, chain: PolyChain, m: int, seed: int,
             hosts, pts, index = (np.concatenate(a) for a in zip(blocks[d], (hosts, pts, index)))
         blocks[d] = Block(hosts, pts, index)
     built = PolyChain(chain.k, PieceList(dict(sorted(blocks.items())), size))
+    if m == chain.k:
+        # the pieces below m are those of a normalized chain, and a whole
+        # cell at its vertices has no zero barycentric coordinate
+        built.mark_normalized(cx)
+        if whole and not built.pruned + built.cancelled:
+            built.host_ids(cx, m, known=grouped.ids[kept])
     out = normalize_chain(cx, built)
     rebuilt = (out.pruned, out.cancelled) if out is not built else (0, 0)
     trace = StepTrace(m, len(cells), chain.volume(), out.volume(), track, len(chain), len(out),

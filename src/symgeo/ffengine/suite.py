@@ -7,8 +7,10 @@ constant.  The result is one plain check report (``symgeo.report``).
 
 Certifying a chain costs work proportional to the chain: the GF(2) image
 of the 2-boundaries is built once per complex (homology.boundary_image),
-and the vanishing check takes each input piece's top cofaces once per
-chain and its volume from the chain.
+the torus certificates run as array passes over the chain's blocks
+(torus.py), and the vanishing check gathers the top cofaces of the input
+pieces and of the kept cells by cell position (GeoComplex.cell_arrays) and
+takes every local mass at once.
 """
 
 from __future__ import annotations
@@ -38,18 +40,22 @@ def vanishing_check(cx: GeoComplex, chain: PolyChain, result: FFResult) -> float
     slack (negative = violation).
     """
     eta = vanishing_threshold(cx, result.final.k, max(result.max_cell_ratio, 1.0))
-    near: dict = {}  # top cell -> indices of the pieces whose host it contains
-    for i, piece in enumerate(chain.pieces):
-        for top in cx.top_cofaces(piece.host):
-            near.setdefault(top, []).append(i)
-    worst = float("inf")
-    for cell in result.whole_cells:
-        # an explicit loop adds in piece order (sum() may compensate)
-        mass = 0.0
-        for i in sorted({i for top in cx.top_cofaces(cell) for i in near.get(top, ())}):
-            mass += chain.volumes[i]
-        worst = min(worst, mass - eta)
-    return worst
+    if not result.whole_cells:
+        return float("inf")
+    kept = cx.cell_arrays(result.final.k).tops[cx.cell_index(result.whole_cells)]
+    # star[c, t]: kept cell c lies in top cell t (the last column takes the
+    # -1 padding); near[c, i]: the host of piece i shares a top cell with it
+    star = np.zeros((len(kept), len(cx.cells_of_dim(cx.dim)) + 1), dtype=bool)
+    star[np.arange(len(kept))[:, None], kept] = True
+    star[:, -1] = False
+    near = np.zeros((len(kept), len(chain)), dtype=bool)
+    for d, block in chain.blocks.items():
+        near[:, block.index] = star[:, cx.cell_arrays(d).tops[chain.host_ids(cx, d)]].any(axis=2)
+    # each mass added from 0.0 in piece order, as an explicit loop would
+    # (sum() may compensate); adding the 0.0 of a far piece changes nothing
+    volumes = np.hstack([np.zeros((len(kept), 1)), np.where(near, chain.volumes, 0.0)])
+    masses = np.add.accumulate(volumes, axis=1)[:, -1]
+    return float((masses - eta).min())
 
 
 def run_deformation_suite(cx: GeoComplex, n_chains: int = 100, seed: int = 0) -> dict:

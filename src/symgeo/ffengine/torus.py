@@ -6,23 +6,26 @@ an unwrapped parameter triangle in the [0, n)^2 picture; loops are generated
 there, split along the triangulation lines, and their mod-2 intersection
 parities with two fixed transversal circle families classify homology.
 
-A loop's pieces are charted together: every piece's triangle is located at
-once, one stacked inverse and one stacked product give the barycentric
-coordinates of all piece endpoints, and one stacked product maps them
-through their cells' models.  The crossing parities likewise convert the
-pieces of each host dimension to parameter coordinates in one stacked
-product.
+Every step is an array pass over a whole loop or chain.  The loop builder
+cuts all waypoint segments at once, locates every piece's triangle at once,
+and takes the barycentric coordinates of all piece endpoints from one
+stacked inverse and their cells' models from one stacked product.  The
+crossing parities gather each piece's charts, first top coface and
+parameter triangle by cell position (GeoComplex.cell_arrays), one stacked
+product per host dimension, and the whole-edge certificate applies the
+collapse's rule (deform.covers_edges) to every piece at once.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
 from .chains import Block, PieceList, PolyChain, normalize_chain
 from .complexes import GeoComplex, barycentric
-from .deform import covers_edge
+from .deform import covers_edges
 
 #: offsets of the two transversal test-circle families, chosen to miss all
 #: vertices and edges of the grid
@@ -49,6 +52,7 @@ def flat_torus_complex(n: int = 8, radius: float = 1.0) -> GeoComplex:
     squares = np.stack(np.meshgrid(np.arange(n), np.arange(n), indexing="ij"), -1)
     centroids = squares.reshape(-1, 1, 2) + np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
     tris, corners = _locate_triangles(n, centroids.reshape(-1, 2))
+    tris = list(map(tuple, tris.tolist()))
     return GeoComplex(vertices, tris,
                       metadata={"torus_n": n, "param": dict(zip(tris, corners))})
 
@@ -59,34 +63,61 @@ def _vertex_id(n: int, i, j):
 
 
 def _locate_triangles(n: int, pts: np.ndarray):
-    """Cells of the n x n torus holding the parameter points (M, 2), and
-    their unwrapped parameter triangles (M, 3, 2), corners in cell order."""
+    """Cells of the n x n torus holding the parameter points (M, 2), as
+    vertex ids (M, 3), and their unwrapped parameter triangles (M, 3, 2),
+    corners in cell order."""
     ij = np.floor(pts).astype(np.int64)
     u, v = (pts - ij).T
     upper = (v > u)[:, None]
     corners = np.stack([ij, ij + np.where(upper, (0, 1), (1, 0)), ij + 1], axis=1)
     ids = _vertex_id(n, corners[..., 0], corners[..., 1])
-    order = np.argsort(ids, axis=1)
-    cells = [tuple(c) for c in np.take_along_axis(ids, order, axis=1).tolist()]
-    return cells, np.take_along_axis(corners, order[..., None], axis=1).astype(float)
+    rows, order = np.arange(len(ids))[:, None], np.argsort(ids, axis=1)
+    return ids[rows, order], corners[rows, order].astype(float)
 
 
-def _split_segment(a: np.ndarray, b: np.ndarray):
-    """Split [a, b] at crossings of the grid lines x, y, y - x in Z."""
-    cuts = {0.0, 1.0}
-    d = b - a
-    for coord, delta in ((a[0], d[0]), (a[1], d[1]), (a[1] - a[0], d[1] - d[0])):
-        if abs(delta) < 1e-12:
-            continue
-        lo, hi = sorted((coord, coord + delta))
-        m = math.floor(lo) + 1
-        while m < hi:
-            cuts.add((m - coord) / delta)
-            m += 1
-    ts = sorted(t for t in cuts if -1e-12 <= t <= 1 + 1e-12)
-    for t0, t1 in zip(ts, ts[1:]):
-        if t1 - t0 > 1e-10:
-            yield a + t0 * d, a + t1 * d
+#: a cut's segment parameter may leave [0, 1] by this much; a family of
+#: lines a segment runs along within it is not cut
+_CUT_TOL = 1e-12
+
+#: pieces with a shorter parameter interval are dropped
+_MIN_PIECE = 1e-10
+
+
+def _split_path(waypoints: np.ndarray) -> np.ndarray:
+    """Endpoints (M, 2, 2) of the pieces of the polygonal path through the
+    waypoints (W, 2), split at its crossings of the grid lines x, y, y - x
+    in Z.
+
+    A segment a + t (b - a) is cut at t = 0, 1 and at each crossing
+    t = (m - c) / delta, where its coordinate in one line family runs from
+    c to c + delta; the pieces, in segment order and each segment's in
+    order of t, are those between consecutive cuts.  Equal cuts bound a
+    piece of length 0, which is dropped with every piece of parameter
+    length up to _MIN_PIECE.
+    """
+    a = waypoints[:-1]
+    d = waypoints[1:] - a
+    S = len(a)
+    # the families x, y and y - x, one after the other
+    coord = np.concatenate([a.T.ravel(), a[:, 1] - a[:, 0]])
+    delta = np.concatenate([d.T.ravel(), d[:, 1] - d[:, 0]])
+    end = coord + delta
+    first = np.floor(np.minimum(coord, end)) + 1
+    # the lines m = first, first + 1, ... below max(coord, end)
+    count = np.ceil(np.maximum(coord, end)) - first
+    count[(count < 0) | (np.abs(delta) < _CUT_TOL)] = 0
+    count = count.astype(np.int64)
+    line = np.repeat(np.arange(3 * S), count)
+    m = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(len(line))
+    cuts = np.concatenate([(m - coord[line]) / delta[line], np.repeat([0.0, 1.0], S)])
+    seg = np.concatenate([line % S, np.tile(np.arange(S), 2)])
+    inside = (cuts >= -_CUT_TOL) & (cuts <= 1 + _CUT_TOL)
+    cuts, seg = cuts[inside], seg[inside]
+    order = np.lexsort((cuts, seg))
+    cuts, seg = cuts[order], seg[order]
+    piece = np.flatnonzero((seg[1:] == seg[:-1]) & (cuts[1:] - cuts[:-1] > _MIN_PIECE))
+    t, seg = cuts[piece[:, None] + (0, 1)], seg[piece]
+    return a[seg][:, None] + t[..., None] * d[seg][:, None]
 
 
 def random_loop_chain(cx: GeoComplex, seed: int, n_waypoints: int = 6,
@@ -102,30 +133,48 @@ def random_loop_chain(cx: GeoComplex, seed: int, n_waypoints: int = 6,
     if winding is None:
         winding = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
     start = rng.uniform(0.1, n - 0.1, size=2)
-    waypoints = [start]
-    for _ in range(n_waypoints - 1):
-        waypoints.append(waypoints[-1] + rng.uniform(-2.0, 2.0, size=2))
-    waypoints.append(start + np.array([n * winding[0], n * winding[1]], dtype=float))
-
-    ends = np.array([[p, q] for a, b in zip(waypoints, waypoints[1:])
-                     for p, q in _split_segment(a, b)]).reshape(-1, 2, 2)
+    # the same draws, and the same additions in order, as one step at a time
+    waypoints = np.empty((max(n_waypoints - 1, 0) + 2, 2))
+    waypoints[0] = start
+    waypoints[1:-1] = rng.uniform(-2.0, 2.0, size=(len(waypoints) - 2, 2))
+    np.cumsum(waypoints[:-1], axis=0, out=waypoints[:-1])
+    waypoints[-1] = start + (n * winding[0], n * winding[1])
+    ends = _split_path(waypoints)
     cells, tris = _locate_triangles(n, (ends[:, 0] + ends[:, 1]) / 2.0)
     # b solves b @ [[1, tri_i]] = [1, p], as a chart's bary_solver does
-    bary = barycentric(np.linalg.inv(np.insert(tris, 0, 1.0, axis=2)), ends)
-    coords = bary @ cx.cell_arrays(2).models[cx.cell_index(cells)]
-    pieces = PieceList({2: Block(np.array(cells), coords, np.arange(len(cells)))}, len(cells))
-    chain = normalize_chain(cx, PolyChain(1, pieces))
-    return chain, winding
+    lifted = np.concatenate([np.ones(tris.shape[:2] + (1,)), tris], axis=2)
+    bary = barycentric(np.linalg.inv(lifted), ends)
+    ids = cx.cell_index(cells)
+    coords = bary @ cx.cell_arrays(2).models[ids]
+    chain = PolyChain(1, PieceList({2: Block(cells, coords, np.arange(len(cells)))}, len(cells)))
+    if len(chain) == len(cells):
+        # nothing pruned or cancelled: the block holds the pieces in order
+        chain.host_ids(cx, 2, known=ids)
+    return normalize_chain(cx, chain), winding
 
 
-def _crossing_parity(lo: np.ndarray, hi: np.ndarray, offset: float, period: int) -> int:
+def _crossing_parity(lo: np.ndarray, hi: np.ndarray, offset, period: int, moves=True):
     """Parity of the number of crossings of the intervals [lo, hi] with the
-    points offset + period Z."""
+    points offset + period Z, per column of lo and hi, leaving out the
+    entries where moves is False."""
     first = np.ceil((lo - offset) / period)
     last = np.floor((hi - offset) / period)
-    if np.any((offset + first * period == lo) | (offset + last * period == hi)):
+    if np.any(((offset + first * period == lo) | (offset + last * period == hi)) & moves):
         raise ValueError("segment endpoint lies on a test circle")
-    return int(np.maximum(0, last - first + 1).sum()) % 2
+    return np.where(moves, np.maximum(0, last - first + 1), 0).sum(axis=0) % 2
+
+
+#: complex -> parameter triangles (T, 3, 2) in cells_of_dim(2) order; an
+#: entry goes when its complex is freed
+_PARAM: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _param_triangles(cx: GeoComplex) -> np.ndarray:
+    tris = _PARAM.get(cx)
+    if tris is None:
+        param = cx.metadata["param"]
+        tris = _PARAM[cx] = np.stack([param[top] for top in cx.cells_of_dim(2)])
+    return tris
 
 
 def crossing_parities(cx: GeoComplex, chain: PolyChain) -> tuple[int, int]:
@@ -136,28 +185,22 @@ def crossing_parities(cx: GeoComplex, chain: PolyChain) -> tuple[int, int]:
     A piece is read in the parameter triangle of its host's first top cell.
     """
     n = cx.metadata["torus_n"]
-    param = cx.metadata["param"]
-
-    def param_points(block):
-        hosts = list(map(tuple, block.hosts.tolist()))
-        tops = [cx.top_cofaces(host)[0] for host in hosts]
-        src = [cx.chart(host) for host in hosts]
-        dst = [cx.chart(top) for top in tops]
-        ambient = (np.stack([c.origin for c in src])[:, None]
-                   + block.points @ np.stack([c.basis.T for c in src]))
-        coords = (ambient - np.stack([c.origin for c in dst])[:, None]) @ np.stack(
-            [c.basis for c in dst])
-        bary = barycentric(np.stack([c.bary_solver for c in dst]), coords)
-        return bary @ np.stack([param[top] for top in tops])
-
-    pts = np.concatenate([param_points(b) for b in chain.blocks.values()]
-                         or [np.zeros((0, 2, 2))])
+    top_cells = cx.cell_arrays(cx.dim)
+    param = _param_triangles(cx)
+    pts = [np.zeros((0, 2, 2))]
+    for d, block in chain.blocks.items():
+        arrays = cx.cell_arrays(d)
+        src = chain.host_ids(cx, d)
+        top = arrays.tops[src, 0]
+        # the transposed bases contiguous, as stacked from the charts
+        ambient = (arrays.origins[src][:, None]
+                   + block.points @ np.ascontiguousarray(np.swapaxes(arrays.bases[src], 1, 2)))
+        coords = (ambient - top_cells.origins[top][:, None]) @ top_cells.bases[top]
+        pts.append(barycentric(top_cells.solvers[top], coords) @ param[top])
+    pts = np.concatenate(pts)
     lo, hi = pts.min(axis=1), pts.max(axis=1)
-    moves = hi - lo > 1e-12
-    return tuple(
-        _crossing_parity(lo[moves[:, i], i], hi[moves[:, i], i], offset, n)
-        for i, offset in enumerate((_TEST_X, _TEST_Y))
-    )
+    parities = _crossing_parity(lo, hi, np.array([_TEST_X, _TEST_Y]), n, hi - lo > 1e-12)
+    return tuple(map(int, parities))
 
 
 def representative_edge_cycle(cx: GeoComplex, winding: tuple[int, int]) -> list:
@@ -175,14 +218,19 @@ def representative_edge_cycle(cx: GeoComplex, winding: tuple[int, int]) -> list:
 
 
 def whole_edges_of(cx: GeoComplex, chain: PolyChain) -> list:
-    """Edge cells fully covered by the chain's pieces, by the rule the
-    collapse keeps whole edges with (deform.covers_edge); raises on partial
-    pieces."""
-    edges = []
-    for piece in chain.pieces:
-        if len(piece.host) - 1 != 1:
-            raise ValueError(f"piece hosted on {piece.host} is not an edge")
-        if not covers_edge(cx, piece.host, piece.points[None]):
-            raise ValueError(f"piece on {piece.host} does not cover the edge")
-        edges.append(piece.host)
-    return edges
+    """Edge cells of the chain's pieces, in piece order, each of which must
+    cover its edge alone by the rule the collapse keeps whole edges with
+    (deform.covers_edges); the first piece that is not hosted on an edge or
+    does not cover it raises ValueError."""
+    bad = np.ones(len(chain), dtype=bool)
+    edges = chain.blocks.get(1)
+    if edges is not None:
+        covered = covers_edges(cx, chain.host_ids(cx, 1), edges.points[:, None],
+                               np.ones((len(edges.index), 1), dtype=bool))
+        bad[edges.index] = ~covered
+    if bad.any():
+        host = chain.pieces[np.argmax(bad)].host
+        if len(host) - 1 != 1:
+            raise ValueError(f"piece hosted on {host} is not an edge")
+        raise ValueError(f"piece on {host} does not cover the edge")
+    return list(map(tuple, edges.hosts.tolist())) if edges is not None else []

@@ -308,11 +308,6 @@ def _strongly_orthogonal_supports(rd: RootDatum) -> list[Support]:
     return [((i, 1), (rd.n - 1 - i, -1)) for i in range(rd.n // 2)]
 
 
-def strongly_orthogonal_set(rd: RootDatum) -> list[Covector]:
-    """The maximal strongly orthogonal set {alpha_{1,n}, alpha_{2,n-1}, ...} for SLn."""
-    return [Covector(_root_coords(rd, s), rd) for s in _strongly_orthogonal_supports(rd)]
-
-
 def theta_so(rd: RootDatum) -> Covector:
     """Half-sum of the strongly orthogonal root set; rejects rank-one data.
     Its members e_i - e_{n-1-i} have disjoint supports, so 2 theta_so has

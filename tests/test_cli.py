@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -129,6 +130,18 @@ class TestVerify:
         run_cli(capsys, "verify", "ff", "--chains", "3", "--out", str(f1))
         run_cli(capsys, "verify", "ff", "--chains", "3", "--out", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "ab209f69c477edb15d83b5cc5bb2eb4b5adf5c5bcf39e84148eef91c13c1f872"),
+        ("table", "f57300d8dbbb96dc97da1ac10ca39ef1a056cf1de7a17e7b9f3a899c8c04ac87"),
+    ])
+    def test_ff_stdout_is_pinned(self, capsys, fmt, digest):
+        # sha256 of the stdout before the certificates became array passes:
+        # a faster FF engine or certificate must print the same bytes
+        code, out, _ = run_cli(capsys, "verify", "ff", "--chains", "20", "--seed", "0",
+                               "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_table_has_one_row_per_check(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "monotonicity", "--format", "table")

@@ -1721,6 +1721,25 @@ class TestFFGolden:
 # ---------------------------------------------------------------------------
 
 
+def _ref_split_segment(a, b):
+    """Oracle: split [a, b] at crossings of the grid lines x, y, y - x in Z,
+    one segment at a time, with a set of cuts."""
+    cuts = {0.0, 1.0}
+    d = b - a
+    for coord, delta in ((a[0], d[0]), (a[1], d[1]), (a[1] - a[0], d[1] - d[0])):
+        if abs(delta) < 1e-12:
+            continue
+        lo, hi = sorted((coord, coord + delta))
+        m = math.floor(lo) + 1
+        while m < hi:
+            cuts.add((m - coord) / delta)
+            m += 1
+    ts = sorted(t for t in cuts if -1e-12 <= t <= 1 + 1e-12)
+    for t0, t1 in zip(ts, ts[1:]):
+        if t1 - t0 > 1e-10:
+            yield a + t0 * d, a + t1 * d
+
+
 def _ref_random_loop_chain(cx, seed, n_waypoints=6, winding=None):
     """Oracle: the piece-at-a-time loop builder (one triangle lookup, one
     3x3 inverse and two products per piece)."""
@@ -1735,7 +1754,7 @@ def _ref_random_loop_chain(cx, seed, n_waypoints=6, winding=None):
     waypoints.append(start + np.array([n * winding[0], n * winding[1]], dtype=float))
     pieces = []
     for a, b in zip(waypoints, waypoints[1:]):
-        for p, q in torus_mod._split_segment(a, b):
+        for p, q in _ref_split_segment(a, b):
             mid = (p + q) / 2.0
             i, j = math.floor(mid[0]), math.floor(mid[1])
             if mid[1] - j <= mid[0] - i:
@@ -1776,6 +1795,23 @@ def _ref_vanishing_check(cx, chain, result):
             if tops & set(_ref_top_cofaces(cx, piece.host)):
                 total += piece_volume(piece)
         worst = min(worst, total - eta)
+    return worst
+
+
+def _ref_vanishing_loop(cx, chain, result):
+    """Oracle: the explicit loop, one top-coface lookup per piece and per
+    kept cell, each mass added in piece order."""
+    eta = vanishing_threshold(cx, result.final.k, max(result.max_cell_ratio, 1.0))
+    near: dict = {}
+    for i, piece in enumerate(chain.pieces):
+        for top in cx.top_cofaces(piece.host):
+            near.setdefault(top, []).append(i)
+    worst = float("inf")
+    for cell in result.whole_cells:
+        mass = 0.0
+        for i in sorted({i for top in cx.top_cofaces(cell) for i in near.get(top, ())}):
+            mass += chain.volumes[i]
+        worst = min(worst, mass - eta)
     return worst
 
 
@@ -1859,6 +1895,41 @@ def _gf2_chains(draw):
     return cx, d, vec
 
 
+def _ref_split_path(waypoints):
+    return np.array([[p, q] for a, b in zip(waypoints, waypoints[1:])
+                     for p, q in _ref_split_segment(a, b)]).reshape(-1, 2, 2)
+
+
+_COORD = st.one_of(st.floats(0.1, 7.9), st.integers(1, 7).map(float))
+_TINY = st.sampled_from([0.0, 1e-13, -1e-13, 5e-13, -9e-13, 2e-12, 1e-9])
+
+
+@st.composite
+def _waypoint_paths(draw):
+    """Waypoints of a path in the torus plane, from points on grid lines or
+    off them; a step is free, or runs along one of the line families x, y,
+    y - x, its change across them tiny (below the 1e-12 cut tolerance or
+    just above it)."""
+    points = [np.array([draw(_COORD), draw(_COORD)])]
+    for _ in range(draw(st.integers(1, 6))):
+        t, tiny = draw(st.floats(-2.0, 2.0)), draw(_TINY)
+        step = draw(st.sampled_from([(t, draw(st.floats(-2.0, 2.0))), (tiny, t), (t, tiny),
+                                     (t, t + tiny)]))
+        points.append(points[-1] + np.array(step))
+    return np.array(points)
+
+
+#: seed -> (loop, deformation) on the 8x8 torus, filled as examples need them
+_DEFORMED: dict = {}
+
+
+def _deformed(seed):
+    if seed not in _DEFORMED:
+        loop, _ = random_loop_chain(_CYCLE_COMPLEXES["torus8"], seed=seed)
+        _DEFORMED[seed] = loop, ff_deform(_CYCLE_COMPLEXES["torus8"], loop, seed=seed)
+    return _DEFORMED[seed]
+
+
 class TestChainSizedCertification:
     """The suite's certification helpers, each against the form it replaced."""
 
@@ -1874,6 +1945,54 @@ class TestChainSizedCertification:
         assert [p.host for p in got.pieces] == [p.host for p in want.pieces]
         assert all(a.points.tobytes() == b.points.tobytes()
                    for a, b in zip(got.pieces, want.pieces))
+
+    @pytest.mark.parametrize("winding", [(0, 0), (1, 0), (0, 1), (1, 1)])
+    def test_loop_builder_bit_identical_in_every_class(self, winding):
+        cx = _CYCLE_COMPLEXES["torus8"]
+        for seed in range(8):
+            got, got_w = random_loop_chain(cx, seed=seed, winding=winding)
+            want, want_w = _ref_random_loop_chain(cx, seed, winding=winding)
+            assert got_w == want_w == winding
+            assert crossing_parities(cx, got) == winding
+            assert [p.host for p in got.pieces] == [p.host for p in want.pieces]
+            assert all(a.points.tobytes() == b.points.tobytes()
+                       for a, b in zip(got.pieces, want.pieces))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_waypoint_paths())
+    def test_path_split_equals_segment_splitter(self, waypoints):
+        got, want = torus_mod._split_path(waypoints), _ref_split_path(waypoints)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 199), st.integers(0, 7), st.integers(0, 7), st.booleans())
+    def test_crossing_parities_equal_piece_at_a_time(self, seed, x0, y0, on_grid):
+        # with test circles on grid lines the whole edges of a final chain
+        # end on them, which both forms must reject alike
+        cx = _CYCLE_COMPLEXES["torus8"]
+        loop, result = _deformed(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            if on_grid:
+                patch.setattr(torus_mod, "_TEST_X", float(x0))
+                patch.setattr(torus_mod, "_TEST_Y", float(y0))
+            for chain in (loop, result.final):
+                got = _error(crossing_parities, cx, chain)
+                assert got == _error(_ref_crossing_parities, cx, chain)
+                event(f"on grid {on_grid}: {'raises' if isinstance(got, str) else 'parities'}")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([None, 3.0]))
+    def test_vanishing_slack_bit_identical_to_loop(self, seed, c_target):
+        from symgeo.ffengine.suite import vanishing_check
+
+        cx = _CYCLE_COMPLEXES["torus8"]
+        loop, _ = random_loop_chain(cx, seed=seed)
+        try:
+            result = ff_deform(cx, loop, seed=seed, c_target=c_target)
+        except CenterSelectionError:
+            assume(False)
+        got, want = vanishing_check(cx, loop, result), _ref_vanishing_loop(cx, loop, result)
+        assert got.hex() == want.hex()
 
     def test_boundary_image_built_once_per_complex(self, monkeypatch):
         from symgeo.ffengine import run_deformation_suite
@@ -1973,9 +2092,77 @@ class TestChainSizedCertification:
             homology.is_cycle(torus8, 1, np.zeros(191, dtype=np.uint8))
 
 
+def _ref_edge_intervals(points):
+    """Oracle: the scalar interval sweep, mod-2 reduction of 1-pieces with
+    points (n, 2, 1) on one edge chart to intervals."""
+    events = sorted(points[..., 0].ravel().tolist())
+    flips = []
+    i = 0
+    while i < len(events):
+        j = i
+        while j + 1 < len(events) and events[j + 1] - events[i] <= deform._MERGE_TOL:
+            j += 1
+        if (j - i + 1) % 2:
+            flips.append(sum(events[i:j + 1]) / (j - i + 1))
+        i = j + 1
+    return [(lo, hi) for lo, hi in zip(flips[::2], flips[1::2]) if hi - lo > deform._MERGE_TOL]
+
+
+def _ref_covers_edge(cx, cell, points):
+    """Oracle: the per-edge whole-edge rule on pieces with points (n, 2, 1)."""
+    length = float(cx.chart(cell).model[1, 0])
+    tol = 1e-6 * max(length, 1.0)
+    intervals = _ref_edge_intervals(points)
+    return (len(intervals) == 1 and abs(intervals[0][0]) <= tol
+            and abs(intervals[0][1] - length) <= tol)
+
+
+def _covers(cx, edge, points):
+    """The array rule on one edge's pieces (n, 2, 1)."""
+    return bool(deform.covers_edges(cx, cx.cell_index([edge]), points[None],
+                                    np.ones((1, len(points)), dtype=bool))[0])
+
+
+_EDGE_TORI = {radius: flat_torus_complex(8, radius=radius) for radius in (1.0, 10.0)}
+
+
+@st.composite
+def _edge_blocks(draw):
+    """Edges of a torus with their pieces, padded as ff_step groups them.
+    An edge's endpoints come in groups near 0, the edge length or an inner
+    point: at multiples 0..4 of 0.6 _MERGE_TOL from it, into the edge, so
+    runs of gaps below _MERGE_TOL can span more than it, or about the end
+    tolerance 1e-6 max(length, 1) off it; consecutive endpoints pair into
+    pieces."""
+    cx = _EDGE_TORI[draw(st.sampled_from(sorted(_EDGE_TORI)))]
+    edges = cx.cells_of_dim(1)
+    ids = draw(st.lists(st.integers(0, len(edges) - 1), min_size=1, max_size=4, unique=True))
+    points = []
+    for i in ids:
+        length = cx.chart(edges[i]).model[1, 0]
+        anchors = [(0.0, 1), (length, -1), (0.3 * length, 1), (0.6 * length, -1)]
+        events = []
+        for _ in range(draw(st.integers(1, 3))):
+            anchor, into = draw(st.sampled_from(anchors))
+            if draw(st.integers(0, 3)):
+                steps = draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))
+                events += [anchor + into * q * 0.6 * deform._MERGE_TOL for q in steps]
+            else:
+                off = draw(st.sampled_from([-1.5, -0.9, 0.9, 1.5]))
+                events.append(anchor + off * 1e-6 * max(length, 1.0))
+        events += [length] * (len(events) % 2)
+        points.append(np.array(draw(st.permutations(events))).reshape(-1, 2, 1))
+    P = max(map(len, points))
+    padded = np.stack([np.concatenate([p, np.repeat(p[:1], P - len(p), axis=0)])
+                       for p in points])
+    filled = np.arange(P) < np.array([len(p) for p in points])[:, None]
+    return cx, [edges[i] for i in ids], np.array(ids), padded, filled
+
+
 class TestEdgeCoverage:
-    """The collapse keeps an edge whole by the same rule the suite's
-    whole-edge check accepts it by (deform.covers_edge)."""
+    """The collapse keeps an edge whole by the same array rule the suite's
+    whole-edge check accepts it by (deform.covers_edges), and the rule makes
+    the scalar sweep's decisions."""
 
     @pytest.mark.parametrize("radius, edge, gap, covered", [
         (10.0, (0, 1), 5e-6, True),     # edge of length 7.654
@@ -1985,13 +2172,50 @@ class TestEdgeCoverage:
     def test_collapse_and_certificate_agree(self, radius, edge, gap, covered):
         cx = flat_torus_complex(8, radius=radius)
         piece = Piece(edge, np.array([[gap], [cx.chart(edge).model[1, 0]]]))
-        assert deform.covers_edge(cx, edge, piece.points[None]) == covered
+        assert _covers(cx, edge, piece.points[None]) == covered
+        assert _ref_covers_edge(cx, edge, piece.points[None]) == covered
         chain = PolyChain(1, [piece])
         if covered:
             assert whole_edges_of(cx, chain) == [edge]
         else:
             with pytest.raises(ValueError, match="does not cover the edge"):
                 whole_edges_of(cx, chain)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_edge_blocks())
+    def test_block_rule_equals_scalar_sweep(self, case):
+        cx, edges, ids, points, filled = case
+        got = deform.covers_edges(cx, ids, points, filled)
+        want = [_ref_covers_edge(cx, e, p[f]) for e, p, f in zip(edges, points, filled)]
+        event(f"covered {sum(want)} of {len(want)}")
+        assert got.tolist() == want
+
+    def test_left_anchored_clusters(self, torus8):
+        # endpoints 0 | 1.2, 1.2, 1.8 | 2.4 (in units of _MERGE_TOL) | length:
+        # the gaps from 1.2 to 2.4 are each below _MERGE_TOL, but 2.4 is
+        # farther than it from the anchor 1.2, so the sweep flips at 0, 1.4,
+        # 2.4 and the length and keeps two intervals; one cluster per run of
+        # small gaps would flip at 0 and the length only and cover the edge
+        tol, edge = deform._MERGE_TOL, (0, 1)
+        length = torus8.chart(edge).model[1, 0]
+        pts = np.array([[0.0, 1.2 * tol], [1.2 * tol, 1.8 * tol], [2.4 * tol, length]])[..., None]
+        np.testing.assert_allclose(_ref_edge_intervals(pts),
+                                   [(0.0, 1.4 * tol), (2.4 * tol, length)], rtol=1e-12)
+        assert not _ref_covers_edge(torus8, edge, pts)
+        assert not _covers(torus8, edge, pts)
+        assert _covers(torus8, edge, pts[[0, 2]]) == _ref_covers_edge(torus8, edge, pts[[0, 2]])
+
+    def test_whole_edges_of_names_the_first_bad_piece(self, torus8):
+        edge, other = (0, 1), (0, 8)
+        whole = Piece(edge, np.array([[0.0], [torus8.chart(edge).model[1, 0]]]))
+        short = Piece(other, np.array([[0.0], [0.3]]))
+        tri = Piece((0, 1, 9), np.array([[0.1, 0.05], [0.3, 0.1]]))
+        assert whole_edges_of(torus8, PolyChain(1, [whole])) == [edge]
+        with pytest.raises(ValueError, match=r"piece on \(0, 8\) does not cover"):
+            whole_edges_of(torus8, PolyChain(1, [whole, short, tri]))
+        with pytest.raises(ValueError, match=r"\(0, 1, 9\) is not an edge"):
+            whole_edges_of(torus8, PolyChain(1, [tri, whole, short]))
+        assert whole_edges_of(torus8, PolyChain(1, [])) == []
 
 
 def _ref_torus_param(n):

@@ -18,7 +18,6 @@ from symgeo.rootdata import (
     pair,
     rho,
     root_pairings,
-    strongly_orthogonal_set,
     theta_so,
 )
 from symgeo.spherical import c_function
@@ -31,6 +30,13 @@ def killing_pair_oracle(n, xi, eta):
     d = np.array([float(x) for x in eta.e_coords()])
     h = (c - c.mean()) / (2 * n)
     return float(d @ h)
+
+
+def strongly_orthogonal_set(rd):
+    """Oracle: the maximal strongly orthogonal set {alpha_{1,n},
+    alpha_{2,n-1}, ...} of SLn as Covectors of rd."""
+    return [rootdata.Covector(rootdata._root_coords(rd, s), rd)
+            for s in rootdata._strongly_orthogonal_supports(rd)]
 
 
 def dense_sln_root(n, i, j):
