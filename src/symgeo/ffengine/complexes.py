@@ -1,15 +1,18 @@
-"""Geometrically realized simplicial complexes with per-cell isometric charts.
+"""Geometrically realized simplicial complexes with isometric charts,
+stacked per dimension.
 
 Cells are sorted vertex tuples, face-closed from the top cells.  Every cell
-carries an affine chart into R^dim built from an orthonormal basis of its
-affine hull, so for complexes whose simplices are flat in the ambient space
-the charts are exact isometries and chart distortion is measurable via
-singular values.  Per dimension the complex keeps its cells' vertex ids,
-charts, barycentric solvers, facet maps and top cofaces stacked
+carries an affine chart into R^d built from an orthonormal basis of its
+affine hull (a QR of its edges), so for complexes whose simplices are flat
+in the ambient space the charts are exact isometries.  The charts of one
+dimension are built at once, by one batched QR and one batched inverse,
+each bit-identical to the chart of its cell alone, and ``chart(cell)`` is a
+view of the cell's row.  Per dimension the complex keeps its cells' vertex
+ids, charts, barycentric solvers, facet maps and top cofaces stacked
 (``cell_arrays``), which the collapse and the torus certificates gather by
-cell position (``cell_index``).  ``check_uniform``
-checks diameters, distortions and volumes against a uniformity scale and
-returns a plain check report (``symgeo.report``).
+cell position (``cell_index``).  ``check_uniform`` checks diameters,
+distortions and volumes against a uniformity scale, one dimension at a
+time on the stacks, and returns a plain check report (``symgeo.report``).
 """
 
 from __future__ import annotations
@@ -90,7 +93,8 @@ class CellArrays:
     """The d-cells of a complex as stacked arrays, in cells_of_dim(d) order.
     A point with chart coordinates y on facet j (the facet without vertex j)
     of cell c has facet chart coordinates y @ linear[c, j] + offset[c, j],
-    convert_coords composed into one affine step."""
+    convert_coords composed into one affine step.  A 0-cell has no facet,
+    so for d = 0 linear and offset are None."""
 
     verts: np.ndarray    # (n, d+1) vertex ids
     keys: np.ndarray     # (n,) increasing row_keys of verts
@@ -98,9 +102,9 @@ class CellArrays:
     bases: np.ndarray    # (n, N, d) chart basis of each cell
     models: np.ndarray   # (n, d+1, d) chart coordinates of the vertices
     solvers: np.ndarray  # (n, d+1, d+1) bary_solver of each chart
-    linear: np.ndarray   # (n, d+1, d, d-1) for d >= 1
-    offset: np.ndarray   # (n, d+1, d-1) for d >= 1
-    tops: np.ndarray     # (n, w) positions of top_cofaces(cell), -1 padded
+    linear: np.ndarray | None   # (n, d+1, d, d-1) for d >= 1
+    offset: np.ndarray | None   # (n, d+1, d-1) for d >= 1
+    tops: np.ndarray     # (n, w) positions of the top cells containing each, -1 padded
 
 
 @dataclass(frozen=True)
@@ -148,9 +152,9 @@ class GeoComplex:
         self._cell_index = {
             d: {c: i for i, c in enumerate(cs)} for d, cs in self.cells.items()
         }
-        self._charts: dict[Cell, Chart] = {}
+        self._verts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._charts: dict[int, tuple[np.ndarray, ...]] = {}
         self._arrays: dict[int, CellArrays] = {}
-        self._top_cofaces: dict[Cell, tuple[Cell, ...]] = {}
         self._min_volume: dict[int, float] = {}
         self._cofacets: dict[Cell, list[Cell]] = {}
         for d in range(self.dim, 0, -1):
@@ -167,76 +171,106 @@ class GeoComplex:
     def has_cell(self, cell: Cell) -> bool:
         return cell in self._cell_index.get(len(cell) - 1, {})
 
+    def vertex_ids(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """The d-cells' vertex ids (n, d+1) and their increasing row_keys."""
+        ids = self._verts.get(d)
+        if ids is None:
+            cells = self.cells_of_dim(d)
+            verts = np.array(cells, dtype=np.int64).reshape(len(cells), d + 1)
+            verts.flags.writeable = False
+            ids = self._verts[d] = (verts, row_keys(verts))
+        return ids
+
+    def facet_index(self, d: int) -> np.ndarray:
+        """(n, d+1) positions in cells_of_dim(d - 1) of the d-cells' facets,
+        facet j the one without vertex j (d >= 1)."""
+        drop = [[i for i in range(d + 1) if i != j] for j in range(d + 1)]
+        return self.cell_index(self.vertex_ids(d)[0][:, drop])
+
     def cofacets(self, cell: Cell) -> list[Cell]:
         return self._cofacets.get(cell, [])
 
-    def top_cofaces(self, cell: Cell) -> tuple[Cell, ...]:
-        """Sorted top-dimensional cells containing the cell, found once per
-        cell from those of its cofacets."""
-        tops = self._top_cofaces.get(cell)
-        if tops is None:
-            if len(cell) - 1 == self.dim:
-                tops = (cell,)
-            else:
-                tops = tuple(sorted({top for cof in self.cofacets(cell)
-                                     for top in self.top_cofaces(cof)}))
-            self._top_cofaces[cell] = tops
-        return tops
-
     # -- geometry ----------------------------------------------------------
 
+    def _chart_stack(self, d: int) -> tuple[np.ndarray, ...]:
+        """Origins (n, N), bases (n, N, d), models (n, d+1, d) and solvers
+        (n, d+1, d+1) of the d-cells' charts, built once per dimension by
+        one batched QR and one batched inverse.  numpy runs the LAPACK
+        routine of a single matrix on each matrix of a stack, so every
+        chart is the one its cell alone would get.  A degenerate cell, the
+        first in cell order, raises ValueError."""
+        stack = self._charts.get(d)
+        if stack is None:
+            verts = self.vertex_ids(d)[0]
+            pts = self.vertices[verts]                                  # (n, d+1, N)
+            n, N = len(verts), self.vertices.shape[1]
+            origins = pts[:, 0]
+            if d == 0 or n == 0:
+                bases, models = np.zeros((n, N, d)), np.zeros((n, d + 1, d))
+                solvers = np.ones((n, d + 1, d + 1))
+            else:
+                if d > N:
+                    raise ValueError(f"degenerate cell {self.cells_of_dim(d)[0]}")
+                # the edges from the first vertex, one (N, d) matrix per cell
+                q, r = np.linalg.qr(np.swapaxes(pts[:, 1:] - origins[:, None], 1, 2))
+                diag = np.diagonal(r, axis1=1, axis2=2)
+                bad = np.abs(diag).min(axis=1) < 1e-12
+                if bad.any():
+                    raise ValueError(f"degenerate cell {self.cells_of_dim(d)[np.argmax(bad)]}")
+                sign = np.sign(diag)[:, None, :]
+                bases = q * sign
+                models = np.concatenate([np.zeros((n, 1, d)), np.swapaxes(r, 1, 2) * sign], axis=1)
+                solvers = np.linalg.inv(np.concatenate([np.ones((n, d + 1, 1)), models], axis=2))
+            stack = (origins, bases, models, solvers)
+            for a in stack:
+                # charts are views of these rows
+                a.flags.writeable = False
+            self._charts[d] = stack
+        return stack
+
     def chart(self, cell: Cell) -> Chart:
-        cached = self._charts.get(cell)
-        if cached is not None:
-            return cached
-        pts = self.vertices[list(cell)]
-        origin = pts[0]
+        """The cell's chart, a view of its row of the dimension's stacks."""
         d = len(cell) - 1
-        if d == 0:
-            basis = np.zeros((self.vertices.shape[1], 0))
-            model = np.zeros((1, 0))
-            solver = np.ones((1, 1))
-        else:
-            if d > len(origin):
-                raise ValueError(f"degenerate cell {cell}")
-            edges = (pts[1:] - origin).T
-            q, r = np.linalg.qr(edges)
-            if np.abs(np.diag(r)).min() < 1e-12:
-                raise ValueError(f"degenerate cell {cell}")
-            sign = np.sign(np.diag(r))
-            basis = q * sign
-            model = np.vstack([np.zeros(d), (r.T * sign)])
-            stacked = np.hstack([np.ones((d + 1, 1)), model])
-            solver = np.linalg.inv(stacked)
-        chart = Chart(origin, basis, model, solver)
-        self._charts[cell] = chart
-        return chart
+        i = self._cell_index.get(d, {}).get(tuple(cell))
+        if i is None:
+            raise ValueError(f"{tuple(cell)} is not a cell of the complex")
+        return Chart(*(a[i] for a in self._chart_stack(d)))
+
+    def _top_positions(self, d: int) -> np.ndarray:
+        """(n, w) positions of each d-cell's top cofaces, increasing and -1
+        padded: every (d+1)-vertex face of every top cell, found by key and
+        sorted by face and then by top cell."""
+        verts, keys = self.vertex_ids(d)
+        top_verts = self.vertex_ids(self.dim)[0]
+        subsets = list(itertools.combinations(range(self.dim + 1), d + 1))
+        face = np.searchsorted(keys, row_keys(top_verts[:, subsets])).ravel()
+        top = np.repeat(np.arange(len(top_verts)), len(subsets))
+        order = np.lexsort((top, face))
+        face, top = face[order], top[order]
+        counts = np.bincount(face, minlength=len(verts))
+        slot = np.arange(len(face)) - (np.cumsum(counts) - counts)[face]
+        tops = np.full((len(verts), counts.max(initial=0)), -1, dtype=np.int64)
+        tops[face, slot] = top
+        return tops
 
     def cell_arrays(self, d: int) -> CellArrays:
-        """The d-cells' CellArrays, built once per dimension from the charts
-        of the cells and their facets and from their top cofaces."""
+        """The d-cells' CellArrays, built once per dimension from the chart
+        stacks of the d-cells and of their facets, gathered by position,
+        and from their top cofaces."""
         arrays = self._arrays.get(d)
         if arrays is None:
-            cells = self.cells_of_dim(d)
-            charts = [self.chart(cell) for cell in cells]
-            facets = [[self.chart(c[:j] + c[j + 1:]) for j in range(d + 1)] for c in cells]
-            maps = [[(c.basis.T @ f.basis, (c.origin - f.origin) @ f.basis) for f in fs]
-                    for c, fs in zip(charts, facets)] if d else []
-            verts = np.array(cells, dtype=np.int64).reshape(len(cells), d + 1)
-            top_index = self._cell_index.get(self.dim, {})
-            tops = [[top_index[t] for t in self.top_cofaces(c)] for c in cells]
-            width = max(map(len, tops), default=0)
-            N = self.vertices.shape[1]
-            arrays = CellArrays(
-                verts, row_keys(verts),
-                np.array([c.origin for c in charts]).reshape(len(cells), N),
-                np.array([c.basis for c in charts]).reshape(len(cells), N, d),
-                np.array([c.model for c in charts]).reshape(len(cells), d + 1, d),
-                np.array([c.bary_solver for c in charts]).reshape(len(cells), d + 1, d + 1),
-                np.array([[a for a, _ in row] for row in maps]),
-                np.array([[b for _, b in row] for row in maps]),
-                np.array([t + [-1] * (width - len(t)) for t in tops],
-                         dtype=np.int64).reshape(len(cells), width))
+            verts, keys = self.vertex_ids(d)
+            origins, bases, models, solvers = self._chart_stack(d)
+            linear = offset = None
+            if d:
+                facet_origins, facet_bases = self._chart_stack(d - 1)[:2]
+                facets = self.facet_index(d)
+                f_bases = facet_bases[facets]                           # (n, d+1, N, d-1)
+                linear = np.swapaxes(bases, 1, 2)[:, None] @ f_bases
+                shift = (origins[:, None] - facet_origins[facets])[:, :, None]
+                offset = (shift @ f_bases)[:, :, 0]
+            arrays = CellArrays(verts, keys, origins, bases, models, solvers, linear, offset,
+                                self._top_positions(d))
             self._arrays[d] = arrays
         return arrays
 
@@ -245,11 +279,11 @@ class GeoComplex:
         rows of hosts (..., d+1).  A row that is no cell raises ValueError,
         or gives -1 when not strict."""
         hosts = np.asarray(hosts, dtype=np.int64)
-        arrays = self.cell_arrays(hosts.shape[-1] - 1)
-        idx = np.searchsorted(arrays.keys, row_keys(hosts))
+        verts, keys = self.vertex_ids(hosts.shape[-1] - 1)
+        idx = np.searchsorted(keys, row_keys(hosts))
         # a row past the last key is compared with the last cell, or with none
-        last = np.minimum(idx, len(arrays.keys) - 1)
-        found = (arrays.verts[last] == hosts).all(axis=-1) if len(arrays.keys) else idx < 0
+        last = np.minimum(idx, len(keys) - 1)
+        found = (verts[last] == hosts).all(axis=-1) if len(keys) else idx < 0
         if found.all():
             return idx
         if strict:
@@ -269,36 +303,17 @@ class GeoComplex:
     def convert_coords(self, src: Cell, dst: Cell, coords: np.ndarray) -> np.ndarray:
         return self.to_chart(dst, self.to_ambient(src, coords))
 
-    def cell_diameter(self, cell: Cell) -> float:
-        pts = self.vertices[list(cell)]
-        if len(cell) == 1:
-            return 0.0
-        diffs = pts[:, None, :] - pts[None, :, :]
-        return float(np.sqrt((diffs ** 2).sum(-1)).max())
-
     def cell_volume(self, cell: Cell) -> float:
         return simplex_volume(self.chart(cell).model)
 
     def min_cell_volume(self, d: int) -> float:
-        """Smallest volume of a d-cell, computed once per complex."""
+        """Smallest volume of a d-cell, computed once per complex from the
+        stacked models."""
         if d not in self._min_volume:
             if not self.cells_of_dim(d):
                 raise ValueError(f"complex has no {d}-cells")
-            self._min_volume[d] = min(self.cell_volume(cell) for cell in self.cells_of_dim(d))
+            self._min_volume[d] = float(simplex_volume(self._chart_stack(d)[2]).min())
         return self._min_volume[d]
-
-    def chart_distortion(self, cell: Cell) -> float:
-        """max(s_max, 1/s_min) of the ambient-to-chart map on the cell's hull."""
-        if len(cell) == 1:
-            return 1.0
-        model = self.chart(cell).model  # rejects a degenerate cell
-        pts = self.vertices[list(cell)]
-        edges = (pts[1:] - pts[0]).T
-        _, r = np.linalg.qr(edges)  # hull coordinates of the ambient edges
-        chart_edges = (model[1:] - model[0]).T
-        restricted = chart_edges @ np.linalg.inv(r)
-        sv = np.linalg.svd(restricted, compute_uv=False)
-        return float(max(sv.max(), 1.0 / sv.min()))
 
     # -- serialization -----------------------------------------------------
 
@@ -324,8 +339,33 @@ class GeoComplex:
 # ---------------------------------------------------------------------------
 
 
+def _uniformity_values(cx: GeoComplex, d: int):
+    """Diameters, chart distortions and volumes of the d-cells, in cell
+    order, each the arithmetic of one cell done on the dimension's stacks.
+
+    The distortion is max(s_max, 1/s_min) of the ambient-to-chart map on
+    the cell's hull, with hull coordinates from a QR of the ambient edges.
+    The chart comes from the same QR, so the map is diag(sign) R R^-1 and
+    its singular values are 1 up to rounding: for a complex that charts at
+    all the condition cannot fail.
+    """
+    arrays = cx.cell_arrays(d)  # rejects a degenerate cell
+    verts, models, n = arrays.verts, arrays.models, len(arrays.verts)
+    if d == 0:
+        return np.zeros(n), np.ones(n), simplex_volume(models)
+    pts = cx.vertices[verts]
+    diffs = pts[:, :, None, :] - pts[:, None, :, :]
+    diameters = np.sqrt((diffs ** 2).sum(-1)).max(axis=(1, 2))
+    # hull coordinates of the ambient edges
+    r = np.linalg.qr(np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2), mode="r")
+    chart_edges = np.swapaxes(models[:, 1:] - models[:, :1], 1, 2)
+    sv = np.linalg.svd(chart_edges @ np.linalg.inv(r), compute_uv=False)
+    distortions = np.maximum(sv.max(axis=1), 1.0 / sv.min(axis=1))
+    return diameters, distortions, simplex_volume(models)
+
+
 def check_uniform(cx: GeoComplex, r: float, delta: float) -> dict:
-    """Checks the three uniformity conditions cell by cell.
+    """Checks the three uniformity conditions, one dimension at a time.
 
     Diameter at most r, chart distortion at most 1 + delta, and cell volume
     at least delta * r^dim.  Returns the check report "uniformity": its
@@ -334,31 +374,30 @@ def check_uniform(cx: GeoComplex, r: float, delta: float) -> dict:
     have values equal up to rounding, so the worst offender of a condition
     is the first cell, in cell order, within 1e-12 (relative) of the worst
     value.  A complex with no cells raises ValueError, as does a degenerate
-    cell.
+    cell.  The distortion condition is vacuous (see _uniformity_values).
     """
     if not cx.cells:
         raise ValueError("complex has no cells")
-    # (value, cell, ...) in cell order; the largest value is the worst
-    diameters, distortions, shortfalls = [], [], []
-    for d, cells in cx.cells.items():
-        for cell in cells:
-            diameters.append((cx.cell_diameter(cell), cell))
-            distortions.append((cx.chart_distortion(cell), cell))
-            vol, bound = cx.cell_volume(cell), delta * r ** d
-            shortfalls.append((bound - vol, cell, vol, bound))
+    # one value per cell, dimensions in order and cells in cell order; the
+    # largest value is the worst
+    cells = [cell for d in cx.cells for cell in cx.cells_of_dim(d)]
+    diameters, distortions, volumes = (
+        np.concatenate(column) for column in zip(*(_uniformity_values(cx, d) for d in cx.cells)))
+    bounds = np.concatenate([np.full(len(cx.cells_of_dim(d)), delta * r ** d) for d in cx.cells])
 
     def first_worst(rows):
-        top = max(row[0] for row in rows)
-        return next(row for row in rows if top - row[0] <= 1e-12 * abs(top))
+        top = rows.max()
+        return int(np.argmax(top - rows <= 1e-12 * abs(top)))
 
-    diam, diam_cell = first_worst(diameters)
-    dist, dist_cell = first_worst(distortions)
-    shortfall, vol_cell, vol, bound = first_worst(shortfalls)
+    i, j, k = (first_worst(rows) for rows in (diameters, distortions, bounds - volumes))
+    diam, dist = float(diameters[i]), float(distortions[j])
+    vol, bound = float(volumes[k]), float(bounds[k])
+    shortfall = bound - vol
     worst = {
-        "diameter": {"value": diam, "bound": r, "cell": list(diam_cell), "ok": diam <= r},
-        "distortion": {"value": dist, "bound": 1.0 + delta, "cell": list(dist_cell),
+        "diameter": {"value": diam, "bound": r, "cell": list(cells[i]), "ok": diam <= r},
+        "distortion": {"value": dist, "bound": 1.0 + delta, "cell": list(cells[j]),
                        "ok": dist <= 1.0 + delta},
-        "volume": {"margin": -shortfall, "cell": list(vol_cell), "value": vol,
+        "volume": {"margin": -shortfall, "cell": list(cells[k]), "value": vol,
                    "bound": bound, "ok": shortfall <= 0},
     }
     violation = max(0.0, diam - r, dist - (1.0 + delta), shortfall)

@@ -670,13 +670,12 @@ def ff_step(cx: GeoComplex, chain: PolyChain, m: int, seed: int,
         grouped, totals = _group_by_cell(top, chain.host_ids(cx, m), chain.volumes)
         cells = grouped.cells
         if m == chain.k:
+            arrays = cx.cell_arrays(m)
             if m == 1:
                 kept = covers_edges(cx, grouped.ids, grouped.points, grouped.filled)
             else:
-                kept = [total >= cx.cell_volume(cell) * (1.0 - 1e-6)
-                        for cell, total in zip(cells, totals.tolist())]
+                kept = totals >= simplex_volume(arrays.models[grouped.ids]) * (1.0 - 1e-6)
             whole = tuple(cell for cell, covered in zip(cells, kept) if covered)
-            arrays = cx.cell_arrays(m)
             added = (m, arrays.verts[grouped.ids[kept]], arrays.models[grouped.ids[kept]])
         else:
             centers, calls = select_centers(cx, cells, grouped, totals,
@@ -728,16 +727,23 @@ def ff_deform(cx: GeoComplex, chain: PolyChain, seed: int,
 
 
 def remainder_decomposition(cx: GeoComplex, result: FFResult):
-    """Split the final chain into whole k-cells and skeleton remainder; every
-    piece either is one of the whole cells or must sit in the (k-1)-skeleton."""
-    whole = set(result.whole_cells)
-    n_pieces = [p for p in result.final.pieces if p.host in whole]
-    q_pieces = [p for p in result.final.pieces if p.host not in whole]
-    for piece in q_pieces:
-        if len(piece.host) - 1 > result.final.k - 1:
-            raise AssertionError(f"remainder piece hosted on {piece.host} is outside the "
-                                 f"{result.final.k - 1}-skeleton")
-    return n_pieces, q_pieces
+    """Split the final chain into whole k-cells and skeleton remainder: the
+    positions of the pieces hosted on whole cells and of the others, each
+    increasing.  Every other piece must sit in the (k-1)-skeleton; the first
+    one that does not raises AssertionError."""
+    final, k = result.final, result.final.k
+    whole = np.zeros(len(final), dtype=bool)
+    outside = np.zeros(len(final), dtype=bool)
+    for d, block in final.blocks.items():
+        if d == k and result.whole_cells:
+            whole[block.index] = np.isin(final.host_ids(cx, k), cx.cell_index(result.whole_cells))
+        outside[block.index] = d > k - 1
+    outside &= ~whole
+    if outside.any():
+        host = final.pieces[np.argmax(outside)].host
+        raise AssertionError(f"remainder piece hosted on {host} is outside the "
+                             f"{k - 1}-skeleton")
+    return np.flatnonzero(whole), np.flatnonzero(~whole)
 
 
 def vanishing_threshold(cx: GeoComplex, k: int, c_measured: float) -> float:

@@ -1,7 +1,12 @@
-"""Brute-force mod-2 simplicial homology, used as the oracle for deformation
-tests: boundary matrices over GF(2), cycle tests, and homologous-chain tests
-by membership in the image of the boundary, all on one incremental GF(2) row
-basis.
+"""Mod-2 simplicial homology, used as the oracle for deformation tests:
+Betti numbers, cycle tests, and homologous-chain tests by membership in the
+image of the boundary, all on one bit-packed GF(2) engine.
+
+A GF(2) vector is a Python int whose bit i is its i-th coordinate.  The
+boundary of each d-cell is one such row over the (d-1)-cells, built from
+vertex-id keys (GeoComplex.facet_index) without charts.  Gf2Basis keeps
+rows keyed by their lowest set bit and reduces a vector by XOR, lowest bit
+first.
 
 The image of a boundary map depends only on the complex, so
 boundary_image builds it once per complex and keeps it until the complex
@@ -18,30 +23,57 @@ import numpy as np
 from .complexes import GeoComplex
 
 
-def boundary_matrix(cx: GeoComplex, d: int) -> np.ndarray:
-    """GF(2) matrix of the boundary map C_d -> C_{d-1}."""
-    row_index = cx._cell_index.get(d - 1, {})
-    cols = cx.cells_of_dim(d)
-    mat = np.zeros((len(row_index), len(cols)), dtype=np.uint8)
-    for j, cell in enumerate(cols):
-        for i in range(len(cell)):
-            facet = cell[:i] + cell[i + 1:]
-            mat[row_index[facet], j] ^= 1
-    return mat
+def boundary_rows(cx: GeoComplex, d: int) -> list[int]:
+    """Row j is the boundary of the j-th d-cell, a bit set over the
+    (d-1)-cells; all rows are 0 for d = 0."""
+    if d == 0:
+        return [0] * len(cx.cells_of_dim(0))
+    bit = (1).__lshift__
+    return [sum(map(bit, row)) for row in cx.facet_index(d).tolist()]
 
 
-def gf2_rank(mat: np.ndarray) -> int:
-    # row rank equals column rank; inserting the fewer vectors is cheaper
-    return Gf2RowSpace(mat if mat.shape[0] <= mat.shape[1] else mat.T).rank
+def pack(vec: np.ndarray) -> int:
+    """A 0/1 vector (entries read mod 2) as an int, entry i as bit i."""
+    bits = np.packbits(np.asarray(vec, dtype=np.uint8) % 2, bitorder="little")
+    return int.from_bytes(bits.tobytes(), "little")
+
+
+class Gf2Basis:
+    """Incremental GF(2) row basis: rows packed into ints, each keyed by its
+    lowest set bit, which no other row of the basis has."""
+
+    def __init__(self, rows):
+        self._rows: dict[int, int] = {}
+        for row in rows:
+            self.add(row)
+
+    def reduce(self, v: int) -> int:
+        """0 when v lies in the span; otherwise a nonzero remainder whose
+        lowest set bit keys no row."""
+        rows = self._rows
+        while v:
+            row = rows.get(v & -v)
+            if row is None:
+                return v
+            v ^= row
+        return 0
+
+    def add(self, v: int):
+        v = self.reduce(v)
+        if v:
+            self._rows[v & -v] = v
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def contains(self, v: int) -> bool:
+        return not self.reduce(v)
 
 
 def betti(cx: GeoComplex, d: int) -> int:
-    n_d = len(cx.cells_of_dim(d))
-    rank_d = gf2_rank(boundary_matrix(cx, d)) if d >= 1 else 0
-    rank_up = (
-        gf2_rank(boundary_matrix(cx, d + 1)) if cx.cells_of_dim(d + 1) else 0
-    )
-    return (n_d - rank_d) - rank_up
+    rank_d, rank_up = (Gf2Basis(boundary_rows(cx, e)).rank for e in (d, d + 1))
+    return (len(cx.cells_of_dim(d)) - rank_d) - rank_up
 
 
 def is_cycle(cx: GeoComplex, d: int, vec: np.ndarray) -> bool:
@@ -73,42 +105,14 @@ def cell_vector(cx: GeoComplex, d: int, cells) -> np.ndarray:
     return vec
 
 
-class Gf2RowSpace:
-    """Incremental GF(2) row basis with fast membership tests."""
-
-    def __init__(self, rows: np.ndarray):
-        self._basis: dict[int, np.ndarray] = {}
-        for row in np.asarray(rows, dtype=np.uint8) % 2:
-            self._insert(row.copy())
-
-    def _reduce(self, v: np.ndarray) -> np.ndarray:
-        for pivot, row in self._basis.items():
-            if v[pivot]:
-                v ^= row
-        return v
-
-    def _insert(self, row: np.ndarray):
-        row = self._reduce(row)
-        nz = np.flatnonzero(row)
-        if nz.size:
-            self._basis[int(nz[0])] = row
-
-    @property
-    def rank(self) -> int:
-        return len(self._basis)
-
-    def contains(self, v: np.ndarray) -> bool:
-        return not self._reduce(np.array(v, dtype=np.uint8) % 2).any()
-
-
 class BoundaryImage:
     """Cached membership test for the image of the boundary C_d -> C_{d-1}."""
 
     def __init__(self, cx: GeoComplex, d: int):
-        self.space = Gf2RowSpace(boundary_matrix(cx, d).T)
+        self.space = Gf2Basis(boundary_rows(cx, d))
 
     def bounds(self, vec: np.ndarray) -> bool:
-        return self.space.contains(vec)
+        return self.space.contains(pack(vec))
 
 
 #: complex -> {d: BoundaryImage}; an entry goes when its complex is freed

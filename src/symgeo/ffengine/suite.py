@@ -99,8 +99,8 @@ def run_deformation_suite(cx: GeoComplex, n_chains: int = 100, seed: int = 0) ->
         if crossing_parities(cx, result.final) != winding or not image.bounds(vec ^ rep):
             failures.append({"seed": chain_seed, "error": "homology class changed"})
             continue
-        n_pieces, q_pieces = remainder_decomposition(cx, result)
-        if len(n_pieces) + len(q_pieces) != len(result.final.pieces):
+        whole, rest = remainder_decomposition(cx, result)
+        if len(whole) + len(rest) != len(result.final):
             failures.append({"seed": chain_seed, "error": "remainder not exhaustive"})
             continue
         slack = vanishing_check(cx, chain, result)
