@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import re
@@ -293,7 +294,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state
+    between calls."""
     parser = argparse.ArgumentParser(
         prog="symgeo",
         description=(

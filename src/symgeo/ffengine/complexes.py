@@ -156,11 +156,6 @@ class GeoComplex:
         self._charts: dict[int, tuple[np.ndarray, ...]] = {}
         self._arrays: dict[int, CellArrays] = {}
         self._min_volume: dict[int, float] = {}
-        self._cofacets: dict[Cell, list[Cell]] = {}
-        for d in range(self.dim, 0, -1):
-            for cell in self.cells[d]:
-                for facet in itertools.combinations(cell, d):
-                    self._cofacets.setdefault(facet, []).append(cell)
         self.metadata = metadata or {}
 
     # -- structure ---------------------------------------------------------
@@ -186,9 +181,6 @@ class GeoComplex:
         facet j the one without vertex j (d >= 1)."""
         drop = [[i for i in range(d + 1) if i != j] for j in range(d + 1)]
         return self.cell_index(self.vertex_ids(d)[0][:, drop])
-
-    def cofacets(self, cell: Cell) -> list[Cell]:
-        return self._cofacets.get(cell, [])
 
     # -- geometry ----------------------------------------------------------
 

@@ -147,9 +147,16 @@ def iwasawa_H_batch(gs: np.ndarray) -> np.ndarray:
     Gram matrix of the rows left is that complement.  Forming g g^T would
     square the condition number of g.
     """
-    # rows[i, k]: entry (i, k) of every matrix, so each step is a vector op
-    # over the stack
     rows = np.moveaxis(np.asarray(gs, dtype=float), (-2, -1), (0, 1)).copy(order="C")
+    return np.moveaxis(iwasawa_H_rows(rows), 0, -1)
+
+
+def iwasawa_H_rows(rows: np.ndarray) -> np.ndarray:
+    """H of a stack stored as rows[i, k, ...] (entry (i, k) of every matrix,
+    so each step is a vector op over the stack) -> H[i, ...].
+
+    The sweep of ``iwasawa_H_batch``; it overwrites ``rows``.
+    """
     n = rows.shape[0]
     H = np.empty(rows.shape[:1] + rows.shape[2:])
     for i in range(n - 1, -1, -1):
@@ -158,8 +165,12 @@ def iwasawa_H_batch(gs: np.ndarray) -> np.ndarray:
         H[i] = np.log(norm)
         if i:
             u /= norm
-            rows[:i] -= np.einsum("jk...,k...->j...", rows[:i], u)[:, None] * u
-    return np.moveaxis(H, 0, -1)
+            # one row at a time: on a large stack the (i, n, ...) product of
+            # the whole block leaves the cache (2.5x slower at n = 4 with
+            # 24,000 matrices)
+            for j, c in enumerate(np.einsum("jk...,k...->j...", rows[:i], u)):
+                rows[j] -= c * u
+    return H
 
 
 def cartan_a(g) -> np.ndarray:

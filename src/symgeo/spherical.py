@@ -13,12 +13,23 @@ exercised by the test suite.  The decay-bound and log-convexity checks
 return plain check reports (``symgeo.report``).
 
 Estimators are deterministic functions of (seed, N): samples are drawn in
-fixed-size chunks from a PCG64 stream and reduced in order.  A chunk's Haar
-sample is the Q factor, with positive R diagonal, of a stack of Gaussian
-matrices (Mezzadri 2007), orthonormalised by classical Gram-Schmidt applied
-twice and vectorised over the stack.  It is Haar on O(n), not SO(n), with
-the same average: reflecting the last column of k multiplies k e^H on the
-right by an orthogonal diagonal matrix, which leaves H(k e^H) unchanged.
+fixed-size chunks from a PCG64 stream and reduced in order.  No Haar matrix
+is formed.  A sample is a Gaussian matrix Z, and k is the orthogonal factor
+of Z = T k with T upper triangular and positive on the diagonal.  That k is
+Haar on O(n) (Mezzadri 2007): Z O has the law of Z for orthogonal O, and
+k(Z O) = k(Z) O.  Row i of T g is T_ii g_i plus a combination of the rows
+below it, so H(T g) = log diag T + H(g) for every g, and H(k) = 0.  Hence,
+with D = e^H,
+
+    H(k D) = H(Z D) - H(Z),
+
+two row sweeps (``modelcheck.iwasawa_H_rows``) on the draw.  Haar on O(n)
+has the same average as Haar on SO(n): reflecting the last column of k
+multiplies k e^H on the right by an orthogonal diagonal matrix, which leaves
+H(k e^H) unchanged.  ``haar_orthogonal`` forms one element of SO(n), as the
+Q factor with positive R diagonal of a Gaussian matrix, orthonormalised by
+classical Gram-Schmidt applied twice (``_haar_batch``); the estimator does
+not use it.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .modelcheck import iwasawa_H_batch
+from .modelcheck import iwasawa_H_rows
 from .report import check_report
 from .rootdata import Covector, RootDatum, rho
 
@@ -119,15 +130,17 @@ def phi_lambda(n: int, lam, H: Sequence[float], N: int, seed: int) -> MCEstimate
     if H.shape != (n,) or abs(H.sum()) > 1e-9:
         raise ValueError("H must be a traceless coordinate vector of length n")
     w = _rho_e(n) - _e_coords(lam, n)
-    diag = np.exp(H)
+    # scales column k of every sample by e^{H_k}
+    diag = np.exp(H)[None, :, None]
     rng = np.random.default_rng(seed)
     vals = np.empty(N, dtype=complex if np.iscomplexobj(w) else float)
     done = 0
     while done < N:
         count = min(_CHUNK, N - done)
-        ks = _haar_batch(n, count, rng)
-        hs = iwasawa_H_batch(ks * diag[None, None, :])
-        vals[done:done + count] = np.exp(hs @ w)
+        # z[i, k, s]: entry (i, k) of sample s, the layout of the row sweep
+        z = rng.standard_normal((n, n, count))
+        hs = iwasawa_H_rows(z * diag) - iwasawa_H_rows(z)
+        vals[done:done + count] = np.exp(w @ hs)
         done += count
     re = vals.real if np.iscomplexobj(vals) else vals
     value = float(re.mean())

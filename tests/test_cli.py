@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from symgeo.cli import main
+from symgeo.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -227,6 +227,42 @@ def test_usage_error_exits_two_with_one_line(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_SEQUENCE = [
+    ["tables", "--family", "H2O", "--family", "HnC", "--n", "2"],
+    ["rx", "H2O"],
+    ["rx", "SL:2"],
+    ["tables", "--family", "E8"],
+    ["verify", "spherical", "--samples", "1"],
+    ["tables", "--family", "HnR", "--n", "3", "--format", "table"],
+    ["verify", "spherical", "--samples", "200", "--format", "table"],
+    ["rx", "SL:5", "--format", "table"],
+    ["tables", "--family", "H2O", "--family", "HnC", "--n", "2"],
+]
+
+
+def test_cached_parser_answers_like_a_fresh_one(capsys):
+    # one parser serves every main call of a process: a sequence of calls,
+    # usage errors from argparse and from the commands included, prints and
+    # exits as the same calls with a parser each
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in _SEQUENCE:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    build_parser.cache_clear()
+    sequence = [outcome(argv) for argv in _SEQUENCE]
+    assert build_parser.cache_info().misses == 1
+    assert sequence == fresh
+    assert [code for code, _, _ in sequence] == [0, 0, 2, 2, 2, 0, 0, 0, 0]
 
 
 _TRIANGLE = '"vertices": [[0, 0], [1, 0], [0, 1]]'

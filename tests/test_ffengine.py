@@ -685,7 +685,7 @@ class TestArrayChains:
         pieces = []
         for i, p in enumerate(chain.pieces):
             if i % 2:
-                tri = torus8.cofacets(p.host)[0]
+                tri = _ref_cofacets(torus8, p.host)[0]
                 p = Piece(tri, torus8.convert_coords(p.host, tri, p.points))
             pieces.append(p)
         lifted = PolyChain(1, pieces)
@@ -2092,12 +2092,17 @@ def _ref_random_loop_chain(cx, seed, n_waypoints=6, winding=None):
     return normalize_chain(cx, PolyChain(1, pieces)), winding
 
 
+def _ref_cofacets(cx, cell):
+    """Oracle: the cells one dimension up that contain cell, in cell order."""
+    return [c for c in cx.cells_of_dim(len(cell)) if set(cell) <= set(c)]
+
+
 def _ref_top_cofaces(cx, cell):
     """Oracle: an uncached search up the cofacets."""
     out = [cell] if len(cell) - 1 == cx.dim else []
     frontier, seen = [cell], set()
     while frontier:
-        for cof in cx.cofacets(frontier.pop()):
+        for cof in _ref_cofacets(cx, frontier.pop()):
             if cof not in seen:
                 seen.add(cof)
                 (out if len(cof) - 1 == cx.dim else frontier).append(cof)

@@ -9,7 +9,10 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 from symgeo import spherical as sph
+from symgeo.modelcheck import iwasawa_H_batch, iwasawa_H_rows
 from symgeo.rootdata import build_rank_one, build_sln, rho
+
+EPS = np.finfo(float).eps
 
 
 def sl2_phi_oracle(s: float, t: float) -> float:
@@ -32,6 +35,29 @@ def qr_haar_oracle(n: int, count: int, rng) -> np.ndarray:
     """Haar samples by LAPACK QR of the same Gaussian draws, R diagonal made positive."""
     q, r = np.linalg.qr(rng.standard_normal((count, n, n)))
     return q * np.sign(np.einsum("...ii->...i", r))[..., None, :]
+
+
+def qr_flag_oracle(z: np.ndarray) -> np.ndarray:
+    """k of Z = T k (T upper triangular, positive diagonal) for each sample
+    z[:, :, s], by LAPACK QR of the row-reversed transpose with R's diagonal
+    made positive; shape (count, n, n)."""
+    zs = np.moveaxis(z, -1, 0)
+    q, r = np.linalg.qr(np.swapaxes(zs[..., ::-1, :], -1, -2))
+    q = q * np.sign(np.einsum("...ii->...i", r))[..., None, :]
+    return np.swapaxes(q, -1, -2)[..., ::-1, :]
+
+
+def cgs2_phi_oracle(n: int, H, N: int, seed: int) -> tuple[float, float]:
+    """phi_0(e^H) and its standard error by the CGS2 pipeline: Haar samples
+    from ``_haar_batch``, then H(k e^H) per sample."""
+    w = sph._rho_e(n)
+    rng = np.random.default_rng(seed)
+    vals = []
+    for done in range(0, N, sph._CHUNK):
+        ks = sph._haar_batch(n, min(sph._CHUNK, N - done), rng)
+        vals.append(np.exp(iwasawa_H_batch(ks * np.exp(H)) @ w))
+    vals = np.concatenate(vals)
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(N))
 
 
 def qr_H_oracle(gs: np.ndarray) -> np.ndarray:
@@ -166,26 +192,68 @@ class TestPhiLambda:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_per_sample_H_matches_qr_pipeline(self, n, monkeypatch):
-        # the QR pipeline on the same PCG64 stream, chunk by chunk
-        seen = []
-        kernel = sph.iwasawa_H_batch
+        # H(k e^H) for k the orthogonal factor of Z = T k, by LAPACK QR of
+        # the same PCG64 draws, chunk by chunk.  Both sides round at about
+        # eps kappa_2(Z): the sweeps difference H(Z e^H) and H(Z)
+        sweeps = []
 
-        def recording(gs):
-            seen.append(kernel(gs))
-            return seen[-1]
+        def recording(rows):
+            sweeps.append((rows.copy(), iwasawa_H_rows(rows)))
+            return sweeps[-1][1]
 
-        monkeypatch.setattr(sph, "iwasawa_H_batch", recording)
+        monkeypatch.setattr(sph, "iwasawa_H_rows", recording)
         H = np.linspace(0.9, -0.9, n)
         N = sph._CHUNK + 1000
         est = sph.phi_lambda(n, np.zeros(n), H, N, seed=100 + n)
+        assert len(sweeps) == 4
         rng = np.random.default_rng(100 + n)
-        want = [qr_H_oracle(qr_haar_oracle(n, count, rng) * np.exp(H))
-                for count in (sph._CHUNK, 1000)]
-        assert [h.shape for h in seen] == [w.shape for w in want]
-        for got, expected in zip(seen, want):
-            assert np.abs(got - expected).max() <= 1e-12
+        want = []
+        for count, (zd, h_zd), (z, h_z) in zip((sph._CHUNK, 1000), sweeps[::2], sweeps[1::2]):
+            assert np.array_equal(z, rng.standard_normal((n, n, count)))
+            assert np.array_equal(zd, z * np.exp(H)[None, :, None])
+            got = h_zd - h_z
+            want.append(qr_H_oracle(qr_flag_oracle(z) * np.exp(H)))
+            kappa = np.linalg.cond(np.moveaxis(z, -1, 0))
+            assert (np.abs(got.T - want[-1]).max(axis=1) <= 8 * EPS * kappa).all()
         oracle = np.exp(np.concatenate(want) @ sph._rho_e(n)).mean()
         assert est.value == pytest.approx(oracle, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(2, 12), st.data())
+    def test_row_flag_identity_on_nearly_dependent_rows(self, seed, n, digits, data):
+        # H(k D) = H(Z D) - H(Z) with rows i and j of some samples 10^-digits apart
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, n, 16))
+        z[j, :, :8] = z[i, :, :8] + 10.0 ** -digits * rng.standard_normal((n, 8))
+        H = rng.uniform(-1.0, 1.0, n)
+        D = np.exp(H - H.mean())
+        got = iwasawa_H_rows(z * D[None, :, None]) - iwasawa_H_rows(z.copy())
+        want = qr_H_oracle(qr_flag_oracle(z) * D)
+        kappa = np.linalg.cond(np.moveaxis(z, -1, 0))
+        assert (np.abs(got.T - want).max(axis=1) <= 8 * EPS * kappa).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_agrees_with_cgs2_pipeline(self, n):
+        H = np.linspace(0.8, -0.8, n)
+        est = sph.phi_lambda(n, np.zeros(n), H, N=60_000, seed=300 + n)
+        value, stderr = cgs2_phi_oracle(n, H, 60_000, seed=400 + n)
+        assert abs(est.value - value) <= 4 * math.hypot(est.stderr, stderr)
+
+    def test_forms_no_haar_matrix_and_sweeps_twice_per_chunk(self, monkeypatch):
+        calls = []
+
+        def no_haar(*args):
+            raise AssertionError("phi_lambda formed a Haar matrix")
+
+        def counting(rows):
+            calls.append(rows.shape)
+            return iwasawa_H_rows(rows)
+
+        monkeypatch.setattr(sph, "_haar_batch", no_haar)
+        monkeypatch.setattr(sph, "iwasawa_H_rows", counting)
+        sph.phi_lambda(3, np.zeros(3), [0.5, 0.0, -0.5], N=2 * sph._CHUNK + 7, seed=5)
+        assert calls == [(3, 3, sph._CHUNK)] * 4 + [(3, 3, 7)] * 2
 
     def test_rejects_bad_H(self):
         with pytest.raises(ValueError):
