@@ -10,8 +10,9 @@ first.
 
 The image of a boundary map depends only on the complex, so
 boundary_image builds it once per complex and keeps it until the complex
-is freed.  Cycle tests and cell vectors cost work proportional to the
-vector's support, not to the complex.
+is freed; Betti numbers take their ranks from it.  Cycle tests and cell
+vectors cost work proportional to the vector's support, not to the
+complex.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class Gf2Basis:
 
 
 def betti(cx: GeoComplex, d: int) -> int:
-    rank_d, rank_up = (Gf2Basis(boundary_rows(cx, e)).rank for e in (d, d + 1))
+    rank_d, rank_up = (boundary_image(cx, e).space.rank for e in (d, d + 1))
     return (len(cx.cells_of_dim(d)) - rank_d) - rank_up
 
 

@@ -13,23 +13,34 @@ exercised by the test suite.  The decay-bound and log-convexity checks
 return plain check reports (``symgeo.report``).
 
 Estimators are deterministic functions of (seed, N): samples are drawn in
-fixed-size chunks from a PCG64 stream and reduced in order.  No Haar matrix
-is formed.  A sample is a Gaussian matrix Z, and k is the orthogonal factor
-of Z = T k with T upper triangular and positive on the diagonal.  That k is
-Haar on O(n) (Mezzadri 2007): Z O has the law of Z for orthogonal O, and
-k(Z O) = k(Z) O.  Row i of T g is T_ii g_i plus a combination of the rows
-below it, so H(T g) = log diag T + H(g) for every g, and H(k) = 0.  Hence,
-with D = e^H,
+fixed-size chunks from a PCG64 stream and reduced in order.
 
-    H(k D) = H(Z D) - H(Z),
+Haar samples come from products of Householder reflectors (Stewart 1980;
+Mezzadri 2007).  Householder QR of a Gaussian matrix Z = Q R reduces one
+column at a time.  Each reflector depends only on the column it reduces,
+and the rest of Z, reflected, is again Gaussian and independent of it, so
+the reduced columns are independent Gaussian vectors of sizes n, ..., 1.
+``_haar_batch`` draws only the vectors of sizes n, ..., 2, which are
+n(n+1)/2 - 1 normals, and multiplies their reflectors onto the identity,
+innermost (size 2) first; it forms neither Z nor R.  Q diag(sign R_jj) is
+Haar on O(n): O Z has the law of Z for orthogonal O, and that Q factor of
+O Z is O times the one of Z.  That is the sign correction.  The reflector
+built from x maps e_1 to -sign(x_1) x/|x|, and R_jj = -sign(x_1)|x|, so the
+corrected first column of each level is x/|x|, uniform on its sphere.  The
+1x1 block R_nn is an independent Gaussian whose sign is a fair coin; the
+sampler takes the coin |y|^2 > log 4 from the size-2 vector y instead,
+since |y|^2 is exponential with median log 4 and independent of y/|y|.
 
-two row sweeps (``modelcheck.iwasawa_H_rows``) on the draw.  Haar on O(n)
-has the same average as Haar on SO(n): reflecting the last column of k
-multiplies k e^H on the right by an orthogonal diagonal matrix, which leaves
-H(k e^H) unchanged.  ``haar_orthogonal`` forms one element of SO(n), as the
-Q factor with positive R diagonal of a Gaussian matrix, orthonormalised by
-classical Gram-Schmidt applied twice (``_haar_batch``); the estimator does
-not use it.
+For g = n e^H k', a diagonal sign matrix S conjugates n to another upper
+unipotent matrix and commutes with e^H, so S g = (S n S) e^H (S k') and
+H(S g) = H(g); a right orthogonal factor leaves H unchanged too.  Hence
+H(S k D S') = H(k D) for diagonal sign matrices S and S', with D = e^H:
+the estimate does not see the sign conventions, and Haar on O(n) gives
+the same average as Haar on SO(n).  Since k is orthonormal, H(k) = 0, and
+one row sweep (``modelcheck.iwasawa_H_rows``) of k D gives H(k D).
+``haar_orthogonal`` is one sample of the same sampler, with its last
+column reflected when its determinant is -1, which maps Haar on O(n) onto
+Haar on SO(n).
 """
 
 from __future__ import annotations
@@ -44,7 +55,10 @@ from .modelcheck import iwasawa_H_rows
 from .report import check_report
 from .rootdata import Covector, RootDatum, rho
 
-_CHUNK = 1 << 15
+_CHUNK = 1 << 13
+#: the median of |x|^2 for a standard Gaussian x in R^2, which is
+#: exponential with mean 2, so comparing with it is a fair coin
+_LOG4 = math.log(4.0)
 
 
 class PoleError(ValueError):
@@ -85,20 +99,38 @@ def haar_orthogonal(n: int, seed) -> np.ndarray:
 
 
 def _haar_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count Haar-distributed elements of O(n), shape (count, n, n)."""
-    z = rng.standard_normal((count, n, n))
-    # cols[j, i]: entry (i, j) of every sample, so each step is a vector op
-    # over the samples
-    cols = np.ascontiguousarray(z.transpose(2, 1, 0))
-    for j in range(n):
-        v = cols[j]
-        if j:
-            prev = cols[:j]
-            # one pass loses orthogonality on nearly dependent columns
-            for _ in range(2):
-                v -= np.einsum("jib,jb->ib", prev, np.einsum("jib,ib->jb", prev, v))
-        v /= np.sqrt(np.einsum("ib,ib->b", v, v))
-    return cols.transpose(2, 1, 0)
+    """count Haar-distributed elements of O(n), shape (count, n, n): a view
+    of storage laid out as q[i, k, sample]."""
+    if n < 2:
+        raise ValueError("Haar samples are drawn for n >= 2")
+    x = rng.standard_normal((n * (n + 1) // 2 - 1, count))
+    return _reflector_product(n, x).transpose(2, 0, 1)
+
+
+def _reflector_product(n: int, x: np.ndarray) -> np.ndarray:
+    """Haar samples q[i, k, sample] of O(n) from a block x of
+    independent standard normals of shape (n(n+1)/2 - 1, count).
+
+    Rows m(m-1)/2 - 1 to m(m+1)/2 - 2 of x hold the Gaussian vector of size
+    m = 2, ..., n, which makes the reflector on the last m coordinates; the
+    squared length of the size-2 vector gives the sign of the 1x1 block.
+    """
+    q = np.zeros((n, n, x.shape[1]))
+    np.copysign(1.0, x[0] * x[0] + x[1] * x[1] - _LOG4, out=q[-1, -1])
+    for m in range(2, n + 1):
+        a = n - m
+        v = x[m * (m - 1) // 2 - 1:][:m]
+        # with u = v/|v|, the reflector along u + sign(u_0) e_0 maps e_0 to
+        # -sign(u_0) u; the sign correction makes the level's first column u
+        u = q[a:, a]
+        np.divide(v, np.sqrt(np.einsum("i...,i...->...", v, v)), out=u)
+        w = np.einsum("i...,ik...->k...", u[1:], q[a + 1:, a + 1:])
+        np.multiply(w, np.copysign(1.0, -u[0]), out=q[a, a + 1:])
+        w /= 1.0 + np.abs(u[0])
+        # one row at a time, as in the row sweep, keeps the update in cache
+        for i in range(1, m):
+            q[a + i, a + 1:] -= u[i] * w
+    return q
 
 
 def _e_coords(lam, n: int) -> np.ndarray:
@@ -137,10 +169,10 @@ def phi_lambda(n: int, lam, H: Sequence[float], N: int, seed: int) -> MCEstimate
     done = 0
     while done < N:
         count = min(_CHUNK, N - done)
-        # z[i, k, s]: entry (i, k) of sample s, the layout of the row sweep
-        z = rng.standard_normal((n, n, count))
-        hs = iwasawa_H_rows(z * diag) - iwasawa_H_rows(z)
-        vals[done:done + count] = np.exp(w @ hs)
+        # k[s] is a view of rows[i, k, s], the layout of the row sweep
+        rows = _haar_batch(n, count, rng).transpose(1, 2, 0)
+        rows *= diag
+        vals[done:done + count] = np.exp(w @ iwasawa_H_rows(rows))
         done += count
     re = vals.real if np.iscomplexobj(vals) else vals
     value = float(re.mean())

@@ -48,3 +48,18 @@ def test_tracer_hooks_record_a_deformation_suite():
     assert tracer.counters["ffengine.chains.pieces_in"] > 0
     assert tracer.counters["ffengine.chains.pieces_out"] > 0
     assert {"ffengine.deform.level2", "ffengine.deform.level1"} <= set(tracer.stats)
+
+
+def test_tracer_times_the_estimator_draw():
+    from symgeo import spherical
+
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        spherical.phi_lambda(3, [0.0, 0.0, 0.0], [0.5, 0.0, -0.5],
+                             N=spherical._CHUNK + 1, seed=0)
+    finally:
+        tracer.uninstall()
+    # one draw per chunk, each its own span under phi_lambda
+    assert tracer.stats["spherical.haar_batch"][0] == 2
+    assert tracer.stats["spherical.phi_lambda"][0] == 1

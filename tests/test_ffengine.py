@@ -571,7 +571,12 @@ class TestSimplexGramDet:
     @settings(max_examples=200, deadline=None)
     @given(_simplex_stacks(_COORDS),
            st.integers(-8, 8), st.floats(0.01, 100.0))
+    @example(np.array([[[1.0], [0.99999]]]), 0, 0.01171875)
     def test_scales_as_s_to_the_2k(self, pts, e, s):
+        # f * pts rounds each coordinate relative to itself: with the first
+        # vertex at the origin the edges are coordinates, so they scale to
+        # within rounding of themselves, as the bound assumes
+        pts = pts - pts[:, :1]
         k = pts.shape[1] - 1
         det = simplex_gram_det(pts)
         edges = pts[:, 1:] - pts[:, :1]
@@ -1352,6 +1357,19 @@ class TestGf2Engine:
     def test_torus32_betti(self):
         cx = flat_torus_complex(32)
         assert [homology.betti(cx, d) for d in range(3)] == [1, 2, 1]
+
+    def test_betti_eliminates_each_boundary_once(self, monkeypatch):
+        built = []
+        init = homology.BoundaryImage.__init__
+
+        def counting(self, cx, d):
+            built.append((id(cx), d))
+            init(self, cx, d)
+
+        monkeypatch.setattr(homology.BoundaryImage, "__init__", counting)
+        cx = flat_torus_complex(8)
+        assert [homology.betti(cx, d) for d in range(3)] == [1, 2, 1]
+        assert sorted(built) == [(id(cx), d) for d in range(4)]
 
 
 # ---------------------------------------------------------------------------

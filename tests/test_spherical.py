@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import hyp2f1
 from scipy.stats import kstest
 
 from symgeo import spherical as sph
@@ -47,17 +48,56 @@ def qr_flag_oracle(z: np.ndarray) -> np.ndarray:
     return np.swapaxes(q, -1, -2)[..., ::-1, :]
 
 
+def cgs2_haar_oracle(n: int, count: int, rng) -> np.ndarray:
+    """Haar samples on O(n), shape (count, n, n): the Q factor with positive
+    R diagonal of Gaussian matrices, orthonormalised by classical
+    Gram-Schmidt applied twice."""
+    z = rng.standard_normal((count, n, n))
+    # cols[j, i]: entry (i, j) of every sample, so each step is a vector op
+    # over the samples
+    cols = np.ascontiguousarray(z.transpose(2, 1, 0))
+    for j in range(n):
+        v = cols[j]
+        if j:
+            prev = cols[:j]
+            # one pass loses orthogonality on nearly dependent columns
+            for _ in range(2):
+                v -= np.einsum("jib,jb->ib", prev, np.einsum("jib,ib->jb", prev, v))
+        v /= np.sqrt(np.einsum("ib,ib->b", v, v))
+    return cols.transpose(2, 1, 0)
+
+
 def cgs2_phi_oracle(n: int, H, N: int, seed: int) -> tuple[float, float]:
     """phi_0(e^H) and its standard error by the CGS2 pipeline: Haar samples
-    from ``_haar_batch``, then H(k e^H) per sample."""
+    from ``cgs2_haar_oracle``, then H(k e^H) per sample."""
     w = sph._rho_e(n)
     rng = np.random.default_rng(seed)
     vals = []
     for done in range(0, N, sph._CHUNK):
-        ks = sph._haar_batch(n, min(sph._CHUNK, N - done), rng)
+        ks = cgs2_haar_oracle(n, min(sph._CHUNK, N - done), rng)
         vals.append(np.exp(iwasawa_H_batch(ks * np.exp(H)) @ w))
     vals = np.concatenate(vals)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(N))
+
+
+def householder_haar_oracle(n: int, x: np.ndarray) -> np.ndarray:
+    """Stewart's sampler one sample at a time with dense matrices: the
+    product of the reflectors I - 2 h h^T / h^T h, h = y + sign(y_0)|y| e_0,
+    for the Gaussian vectors y of sizes 2, ..., n laid out in x, times the
+    signs -sign(y_0) per level and the 1x1 block's coin; shape (count, n, n)."""
+    out = []
+    for col in x.T:
+        ys = {m: col[m * (m - 1) // 2 - 1:m * (m + 1) // 2 - 1] for m in range(2, n + 1)}
+        q = np.eye(n)
+        for m in range(n, 1, -1):
+            h = np.zeros(n)
+            h[n - m:] = ys[m]
+            h[n - m] += math.copysign(np.linalg.norm(ys[m]), ys[m][0])
+            q = q @ (np.eye(n) - 2.0 * np.outer(h, h) / (h @ h))
+        signs = [-math.copysign(1.0, ys[m][0]) for m in range(n, 1, -1)]
+        signs.append(1.0 if ys[2] @ ys[2] > math.log(4.0) else -1.0)
+        out.append(q * signs)
+    return np.array(out)
 
 
 def qr_H_oracle(gs: np.ndarray) -> np.ndarray:
@@ -113,20 +153,67 @@ class TestHaar:
             assert np.linalg.det(sph.haar_orthogonal(3, seed)) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_dense_householder_oracle(self, n):
+        x = np.random.default_rng(n).standard_normal((n * (n + 1) // 2 - 1, 512))
+        got = sph._haar_batch(n, 512, FixedNormals(x))
+        assert np.abs(got - householder_haar_oracle(n, x)).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_fourth_moments_are_haar(self, n):
+        # E q_ij^2 = 1/n, E q_00^4 = 3/(n(n+2)), E q_00^2 q_11^2 =
+        # (n+1)/((n-1)n(n+2)), E q_00 q_11 q_01 q_10 = -1/((n-1)n(n+2)) on O(n)
+        q = sph._haar_batch(n, 200_000, np.random.default_rng(50 + n))
+        c = (n - 1) * n * (n + 2)
+        stats = [(q * q, np.full((n, n), 1.0 / n)),
+                 (q[:, 0, 0] ** 4, 3.0 / (n * (n + 2))),
+                 (q[:, 0, 0] ** 2 * q[:, 1, 1] ** 2, (n + 1) / c),
+                 (q[:, 0, 0] * q[:, 1, 1] * q[:, 0, 1] * q[:, 1, 0], -1.0 / c)]
+        for sample, want in stats:
+            err = sample.std(axis=0) / math.sqrt(len(q))
+            assert (np.abs(sample.mean(axis=0) - want) <= 5 * err).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_orientation_is_a_fair_coin(self, n):
+        # without the 1x1 block's coin, det q = sign(q_00) at n = 2
+        q = sph._haar_batch(n, 100_000, np.random.default_rng(60 + n))
+        det = np.sign(np.linalg.det(q))
+        bound = 5 / math.sqrt(len(q))
+        assert abs(det.mean()) <= bound
+        assert abs((det * np.sign(q[:, 0, 0])).mean()) <= bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.data())
+    def test_orthonormal_on_extreme_normals(self, n, data):
+        # vectors along the axes, with signed zeros, or of tiny length
+        entry = st.sampled_from([0.0, -0.0, 1e-150, -1e-8, 1.0, -3.0, 40.0])
+        x = np.array(data.draw(st.lists(entry, min_size=n * (n + 1) // 2 - 1,
+                                        max_size=n * (n + 1) // 2 - 1)))[:, None]
+        for m in range(2, n + 1):
+            y = x[m * (m - 1) // 2 - 1:m * (m + 1) // 2 - 1, 0]
+            if not (y != 0).any():
+                y[0] = 1.0
+        q = sph._haar_batch(n, 1, FixedNormals(x))[0]
+        assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-13
+        assert np.abs(q - householder_haar_oracle(n, x)[0]).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_qr_oracle(self, n):
-        got = sph._haar_batch(n, 4096, np.random.default_rng(n))
+        # the CGS2 oracle behind cgs2_phi_oracle, against LAPACK QR of the
+        # same draws
+        got = cgs2_haar_oracle(n, 4096, np.random.default_rng(n))
         want = qr_haar_oracle(n, 4096, np.random.default_rng(n))
         assert np.abs(got - want).max() <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.data())
     def test_nearly_dependent_columns(self, seed, n, data):
+        # the CGS2 oracle keeps orthogonality where one pass would lose it
         i, j = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
                                          unique=True)))
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((16, n, n))
         z[:, :, j] = z[:, :, i] + 1e-8 * rng.standard_normal((16, n))
-        q = sph._haar_batch(n, 16, FixedNormals(z))
+        q = cgs2_haar_oracle(n, 16, FixedNormals(z))
         assert np.abs(np.swapaxes(q, -1, -2) @ q - np.eye(n)).max() <= 1e-13
         r = np.swapaxes(q, -1, -2) @ z
         assert (np.einsum("...ii->...i", r) > 0).all()
@@ -192,31 +279,46 @@ class TestPhiLambda:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_per_sample_H_matches_qr_pipeline(self, n, monkeypatch):
-        # H(k e^H) for k the orthogonal factor of Z = T k, by LAPACK QR of
-        # the same PCG64 draws, chunk by chunk.  Both sides round at about
-        # eps kappa_2(Z): the sweeps difference H(Z e^H) and H(Z)
-        sweeps = []
+        # each chunk's Haar draw replays from the seed's PCG64 normals, and
+        # its sweep gives H(k e^H) as LAPACK QR of k e^H does
+        draws, sweeps = [], []
+        haar_batch = sph._haar_batch
 
-        def recording(rows):
+        def recording_draw(*args):
+            draws.append(haar_batch(*args))
+            return draws[-1].copy()
+
+        def recording_sweep(rows):
             sweeps.append((rows.copy(), iwasawa_H_rows(rows)))
             return sweeps[-1][1]
 
-        monkeypatch.setattr(sph, "iwasawa_H_rows", recording)
+        monkeypatch.setattr(sph, "_haar_batch", recording_draw)
+        monkeypatch.setattr(sph, "iwasawa_H_rows", recording_sweep)
         H = np.linspace(0.9, -0.9, n)
         N = sph._CHUNK + 1000
         est = sph.phi_lambda(n, np.zeros(n), H, N, seed=100 + n)
-        assert len(sweeps) == 4
+        assert len(draws) == len(sweeps) == 2
         rng = np.random.default_rng(100 + n)
         want = []
-        for count, (zd, h_zd), (z, h_z) in zip((sph._CHUNK, 1000), sweeps[::2], sweeps[1::2]):
-            assert np.array_equal(z, rng.standard_normal((n, n, count)))
-            assert np.array_equal(zd, z * np.exp(H)[None, :, None])
-            got = h_zd - h_z
-            want.append(qr_H_oracle(qr_flag_oracle(z) * np.exp(H)))
-            kappa = np.linalg.cond(np.moveaxis(z, -1, 0))
-            assert (np.abs(got.T - want[-1]).max(axis=1) <= 8 * EPS * kappa).all()
+        for count, k, (rows, got) in zip((sph._CHUNK, 1000), draws, sweeps):
+            x = rng.standard_normal((n * (n + 1) // 2 - 1, count))
+            assert np.array_equal(k, sph._reflector_product(n, x).transpose(2, 0, 1))
+            assert np.abs(np.swapaxes(k, -1, -2) @ k - np.eye(n)).max() <= 1e-13
+            assert np.array_equal(rows, (k * np.exp(H)).transpose(1, 2, 0))
+            want.append(qr_H_oracle(k * np.exp(H)))
+            assert np.abs(got.T - want[-1]).max() <= 1e-13
         oracle = np.exp(np.concatenate(want) @ sph._rho_e(n)).mean()
         assert est.value == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_matches_legendre_function(self, s, t):
+        # on SL(2), phi at lambda = (s/2, -s/2) and H = (t/2, -t/2) is the
+        # Legendre function P_nu(cosh t) with nu = (s - 1)/2
+        nu = (s - 1.0) / 2.0
+        exact = hyp2f1(-nu, nu + 1.0, 1.0, (1.0 - math.cosh(t)) / 2.0)
+        est = sph.phi_lambda(2, [s / 2, -s / 2], [t / 2, -t / 2], N=1 << 17, seed=17)
+        assert abs(est.value - exact) <= 4 * est.stderr
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(2, 12), st.data())
@@ -240,24 +342,33 @@ class TestPhiLambda:
         value, stderr = cgs2_phi_oracle(n, H, 60_000, seed=400 + n)
         assert abs(est.value - value) <= 4 * math.hypot(est.stderr, stderr)
 
-    def test_forms_no_haar_matrix_and_sweeps_twice_per_chunk(self, monkeypatch):
-        calls = []
+    def test_draws_once_and_sweeps_once_per_chunk(self, monkeypatch):
+        draws, sweeps = [], []
+        haar_batch = sph._haar_batch
 
-        def no_haar(*args):
-            raise AssertionError("phi_lambda formed a Haar matrix")
+        def counting_draw(n, count, rng):
+            draws.append((n, count))
+            return haar_batch(n, count, rng)
 
-        def counting(rows):
-            calls.append(rows.shape)
+        def counting_sweep(rows):
+            sweeps.append(rows.shape)
             return iwasawa_H_rows(rows)
 
-        monkeypatch.setattr(sph, "_haar_batch", no_haar)
-        monkeypatch.setattr(sph, "iwasawa_H_rows", counting)
+        monkeypatch.setattr(sph, "_haar_batch", counting_draw)
+        monkeypatch.setattr(sph, "iwasawa_H_rows", counting_sweep)
         sph.phi_lambda(3, np.zeros(3), [0.5, 0.0, -0.5], N=2 * sph._CHUNK + 7, seed=5)
-        assert calls == [(3, 3, sph._CHUNK)] * 4 + [(3, 3, 7)] * 2
+        assert draws == [(3, sph._CHUNK)] * 2 + [(3, 7)]
+        assert sweeps == [(3, 3, sph._CHUNK)] * 2 + [(3, 3, 7)]
 
     def test_rejects_bad_H(self):
         with pytest.raises(ValueError):
             sph.phi_lambda(2, np.zeros(2), [1.0, 1.0], N=10, seed=0)
+
+    def test_rejects_n_below_two(self):
+        with pytest.raises(ValueError):
+            sph.phi_lambda(1, np.zeros(1), [0.0], N=10, seed=0)
+        with pytest.raises(ValueError):
+            sph.haar_orthogonal(1, seed=0)
 
 
 class TestEstimateJson:
