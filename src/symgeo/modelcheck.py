@@ -19,12 +19,14 @@ with the closed form is returned as a plain check report
 (``symgeo.report``).
 
 The hyperboloid model supplies horofunction values for the real hyperbolic
-family, and a one-dimensional quadrature reproduces the mass growth profile
-of totally geodesic subspaces.
+family.  The mass growth profile of a totally geodesic subspace is
+integrated by parts onto closed-form ball volumes and evaluated by two
+fixed Gauss-Legendre rules that must agree, with numpy alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -321,8 +323,22 @@ def busemann_hyperboloid(x: Sequence[float], theta: Sequence[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# monotonicity profile by quadrature
+# monotonicity profile from closed-form ball volumes
 # ---------------------------------------------------------------------------
+
+#: node counts of the two Gauss-Legendre rules that evaluate a profile, and
+#: the relative agreement between them that certifies its values
+PROFILE_NODES = (40, 80)
+PROFILE_RTOL = 1e-12
+
+#: f(0) = (1/2) log 2, the minimum of the smooth radial surrogate
+_HALF_LOG2 = 0.5 * math.log(2.0)
+#: below this sinh T, V(T) comes from its series: the recursion subtracts
+#: nearly equal terms there and loses about a factor 1/T^2 per step
+_SERIES_BELOW = 0.5
+#: terms of the series in sinh^2 T < 1/4; the first one left out is below
+#: 4^-30 of the first
+_SERIES_TERMS = 30
 
 
 def cutoff_chi(u: float) -> float:
@@ -340,12 +356,20 @@ def smooth_distance(t: float) -> float:
     return 0.5 * (a + math.log1p(math.exp(-2.0 * a)))
 
 
+def _radius_above_minimum(d):
+    """f^{-1}(f(0) + d) for d >= 0 (scalar or array).
+
+    f^{-1}(s) = acosh(e^{2s} / 2) / 2 and e^{2 f(0)} / 2 = 1, so the acosh
+    argument is 1 + expm1(2d); acosh(1 + y) = log1p(y + sqrt(y (y + 2)))
+    keeps the square-root branch at d = 0 free of cancellation.
+    """
+    y = np.expm1(2.0 * np.asarray(d, dtype=float))
+    return 0.5 * np.log1p(y + np.sqrt(y * (y + 2.0)))
+
+
 def smooth_distance_inverse(s: float) -> float:
     """Radius where the surrogate reaches s (0 when s is below its minimum)."""
-    x = math.exp(2.0 * s) / 2.0
-    if x <= 1.0:
-        return 0.0
-    return 0.5 * math.acosh(x)
+    return float(_radius_above_minimum(max(s - _HALF_LOG2, 0.0)))
 
 
 def sphere_area(k: int) -> float:
@@ -353,45 +377,103 @@ def sphere_area(k: int) -> float:
     return 2.0 * math.pi ** (k / 2.0) / math.gamma(k / 2.0)
 
 
+def ball_volume(k: int, T):
+    """V(T) = int_0^T sinh^{k-1}(t) dt, the volume of the radius-T ball of
+    H^k over the area of the unit (k-1)-sphere, for k >= 2 (T scalar or
+    array, returned as an array).
+
+    The two-step recursion I_m = (sinh^{m-1} T cosh T - (m-1) I_{m-2}) / m
+    from I_0 = T and I_1 = 2 sinh^2(T/2) gives V = I_{k-1}.  Where
+    sinh T < 1/2 the series from the substitution S = sinh t,
+    I_m = sum_j (-1)^j C(2j, j) 4^{-j} S^{m+1+2j} / (m+1+2j), whose terms
+    shrink at least fourfold, replaces it.
+    """
+    if k < 2:
+        raise ValueError(f"ball volumes need k >= 2, got k = {k}")
+    T = np.asarray(T, dtype=float)
+    m = k - 1
+    S, C = np.sinh(T), np.cosh(T)
+    prev, cur = T, 2.0 * np.sinh(0.5 * T) ** 2
+    for j in range(2, m + 1):
+        prev, cur = cur, (S ** (j - 1) * C - (j - 1) * prev) / j
+    # the series at min(S, 1/2), so that no large S overflows it
+    Sc = np.minimum(S, _SERIES_BELOW)
+    coeffs = [(-1) ** j * math.comb(2 * j, j) / 4.0 ** j / (m + 1 + 2 * j)
+              for j in range(_SERIES_TERMS - 1, -1, -1)]
+    series = Sc ** (m + 1) * np.polyval(coeffs, Sc * Sc)
+    return np.where(S < _SERIES_BELOW, series, cur)
+
+
+@functools.cache
+def _unit_legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], built on first use."""
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(nodes)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _profile_integrals(k: int, radii: np.ndarray, nodes: int) -> np.ndarray:
+    """int chi(f(t) - r) sinh^{k-1}(t) dt for each radius, by one rule.
+
+    By parts, with -chi'(u) = 30 u^2 (1-u)^2 and t = f^{-1}(u + r), the
+    integral is int_0^1 30 u^2 (1-u)^2 V(f^{-1}(u + r)) du.  Its integrand
+    vanishes below u0 = max(0, f(0) - r), and u = u0 + w^2 turns f^{-1}'s
+    square-root branch at u + r = f(0) into an analytic function of w on
+    [0, sqrt(1 - u0)].  There u + r - f(0) = w^2 + max(r - f(0), 0).
+    """
+    x, weights = _unit_legendre_rule(nodes)
+    u0 = np.clip(_HALF_LOG2 - radii, 0.0, 1.0)[:, None]
+    width = np.sqrt(1.0 - u0)
+    w = width * x
+    u = u0 + w * w
+    excess = np.maximum(radii - _HALF_LOG2, 0.0)[:, None] + w * w
+    volume = ball_volume(k, _radius_above_minimum(excess))
+    # du = 2 w dw
+    integrand = 30.0 * (u * (1.0 - u)) ** 2 * volume * 2.0 * w
+    return width[:, 0] * (integrand @ weights)
+
+
+def _certified_profile(k: int, radii: Sequence[float], coarse: int, fine: int) -> np.ndarray:
+    """The fine rule's integrals; raises QuadratureError unless the coarse
+    rule agrees with them to PROFILE_RTOL relative at every radius."""
+    radii = np.asarray(radii, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = _profile_integrals(k, radii, coarse)
+        hi = _profile_integrals(k, radii, fine)
+    if not np.isfinite(hi).all():
+        i = int(np.argmin(np.isfinite(hi)))
+        raise QuadratureError(f"the profile overflows at r = {radii[i]}")
+    bad = np.abs(hi - lo) > PROFILE_RTOL * np.abs(hi)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise QuadratureError(
+            f"{coarse}- and {fine}-node rules disagree at r = {radii[i]}: "
+            f"{float(lo[i])!r} against {float(hi[i])!r}"
+        )
+    return hi
+
+
 def monotonicity_profile(rd: RootDatum, k: int, r_grid: Sequence[float]) -> list[tuple[float, float]]:
     """Smoothed mass profile of a totally geodesic k-subspace of H^n.
 
     v(r) integrates the cutoff of the smooth radial surrogate against the
     polar density sinh^{k-1}(t) of the subspace; the subspace is area
-    minimizing, so v must grow at rate at least kappa(k) = k - 1.
+    minimizing, so v must grow at rate at least kappa(k) = k - 1.  The
+    integral runs on closed-form ball volumes with the Gauss-Legendre rules
+    of PROFILE_NODES (``_profile_integrals``).
     """
     if rd.family != "HnR":
-        raise ValueError("the quadrature profile is implemented for HnR only")
+        raise ValueError("the mass profile is implemented for HnR only")
     if not 2 <= k < rd.n:
         raise ValueError(f"need 2 <= k < n, got k = {k}, n = {rd.n}")
-    from scipy.integrate import quad
-
-    area = sphere_area(k)
-    out = []
-    for r in r_grid:
-        upper = smooth_distance_inverse(r + 1.0) + 1e-9
-        val, abserr = quad(
-            lambda t: cutoff_chi(smooth_distance(t) - r) * math.sinh(t) ** (k - 1),
-            0.0,
-            upper,
-            epsabs=1e-12,
-            epsrel=1e-12,
-            limit=300,
-        )
-        if abserr > 1e-8 * max(1.0, abs(val)):
-            raise QuadratureError(f"quadrature did not converge at r = {r}")
-        out.append((float(r), area * val))
-    return out
+    values = sphere_area(k) * _certified_profile(k, r_grid, *PROFILE_NODES)
+    return [(float(r), float(v)) for r, v in zip(r_grid, values)]
 
 
 def sharp_cutoff_mass(k: int, r: float) -> float:
-    """Closed-form mass with a sharp cutoff at radius f^{-1}(r), k = 2, 3."""
-    T = smooth_distance_inverse(r)
-    if k == 2:
-        return sphere_area(2) * (math.cosh(T) - 1.0)
-    if k == 3:
-        return sphere_area(3) * (math.sinh(T) * math.cosh(T) - T) / 2.0
-    raise ValueError("closed form implemented for k = 2, 3")
+    """Closed-form mass with a sharp cutoff at radius f^{-1}(r), k >= 2."""
+    return sphere_area(k) * float(ball_volume(k, smooth_distance_inverse(r)))
 
 
 def monotonicity_margins(profile: Sequence[tuple[float, float]], rate: float) -> list[float]:

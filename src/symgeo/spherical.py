@@ -161,6 +161,8 @@ def phi_lambda(n: int, lam, H: Sequence[float], N: int, seed: int) -> MCEstimate
     H = np.asarray(H, dtype=float)
     if H.shape != (n,) or abs(H.sum()) > 1e-9:
         raise ValueError("H must be a traceless coordinate vector of length n")
+    if N < 1:
+        raise ValueError(f"need at least one sample, got N = {N}")
     w = _rho_e(n) - _e_coords(lam, n)
     # scales column k of every sample by e^{H_k}
     diag = np.exp(H)[None, :, None]
@@ -274,9 +276,10 @@ def c_function(rd: RootDatum, lam) -> complex:
     """Beta-factor product normalization c(lambda) = I(lambda) / I(rho).
 
     I(nu) runs over the distinct positive roots alpha and multiplies
-    Beta(m_alpha / 2, m_{alpha/2} / 2 + <nu, alpha> / <alpha, alpha>), where
-    m_{alpha/2} is zero when alpha/2 is not a root.  Arguments within 1e-8 of
-    a nonpositive integer raise :class:`PoleError`.
+    Beta(m_alpha / 2, m_{alpha/2} / 4 + <nu, alpha> / <alpha, alpha>), where
+    m_{alpha/2} is zero when alpha/2 is not a root (the Gindikin-Karpelevich
+    product).  Arguments within 1e-8 of a nonpositive integer raise
+    :class:`PoleError`.
     """
     nu = _simple_coords(lam, rd.rank)
     rho_coords = np.array([complex(c) for c in rho(rd).coords])
@@ -291,7 +294,7 @@ def c_function(rd: RootDatum, lam) -> complex:
             rvec = np.array(root, dtype=float)
             ratio = (coords @ (gram @ rvec)) / (rvec @ (gram @ rvec))
             z1 = m / 2.0
-            z2 = m_half / 2.0 + ratio
+            z2 = m_half / 4.0 + ratio
             if _near_gamma_pole(complex(z2)):
                 raise PoleError(f"Beta argument {z2} is at a pole")
             total *= _beta(z1, complex(z2))

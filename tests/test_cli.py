@@ -342,3 +342,52 @@ def test_verify_suites_run_after_bare_cli_import(argv):
     proc = run_python(f"import sys, symgeo.cli\nsys.exit(symgeo.cli.main({argv!r}))\n")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_cli_import_and_monotonicity_load_no_scipy():
+    # the mass profiles run on closed-form ball volumes and numpy alone;
+    # importing the CLI loads no numeric stack at all
+    proc = run_python(
+        "import contextlib, io, sys\n"
+        "import symgeo.cli\n"
+        "bare = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = symgeo.cli.main(['verify', 'monotonicity'])\n"
+        "print(code, bare, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 [] []\n"
+
+
+def run_module(argv, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m symgeo *argv`` in a fresh interpreter."""
+    env = dict(os.environ if env is None else env, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "symgeo", *argv], env=env,
+                          text=True, timeout=300, **kwargs)
+
+
+def test_python_m_symgeo_runs_the_cli(capsys):
+    proc = run_module(["tables", "--n", "3"], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    _, out, _ = run_cli(capsys, "tables", "--n", "3")
+    assert proc.stdout == out
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["rx", "SL:64"], ["verify", "monotonicity"]],
+                         ids=lambda argv: argv[0])
+def test_closed_stdout_exits_quietly(argv, unbuffered):
+    # the reader has gone before the output is written, as when `| head -c 100`
+    # exits early; buffered, the failure comes at the flush, unbuffered at
+    # the first write
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_module(argv, env=env, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 1

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from symgeo import modelcheck as mc
 from symgeo.hesspec import iwasawa_exp_spectrum, iwasawa_linear_spectrum
@@ -364,15 +366,99 @@ class TestCutoff:
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
+def quad_profile(k: int, r: float) -> float:
+    """The mass profile by adaptive quadrature of its definition (QUADPACK)."""
+    upper = mc.smooth_distance_inverse(r + 1.0) + 1e-9
+    val, _ = quad(
+        lambda t: mc.cutoff_chi(mc.smooth_distance(t) - r) * math.sinh(t) ** (k - 1),
+        0.0, upper, epsabs=1e-12, epsrel=1e-12, limit=300,
+    )
+    return mc.sphere_area(k) * val
+
+
+def mpmath_profile(k: int, r: float):
+    """The mass profile to 30 digits, split where the cutoff starts and ends."""
+    with mpmath.workdps(30):
+        r = mpmath.mpf(r)
+
+        def f_inv(s):
+            x = mpmath.exp(2 * s) / 2
+            return mpmath.acosh(x) / 2 if x > 1 else mpmath.mpf(0)
+
+        def integrand(t):
+            u = mpmath.log(2 * mpmath.cosh(2 * t)) / 2 - r
+            chi = 1 if u <= 0 else 0 if u >= 1 else 1 - u ** 3 * (10 - 15 * u + 6 * u * u)
+            return chi * mpmath.sinh(t) ** (k - 1)
+
+        a, b = f_inv(r), f_inv(r + 1)
+        val = mpmath.quad(integrand, [0, a, b] if a > 0 else [0, b])
+        return 2 * mpmath.pi ** (mpmath.mpf(k) / 2) / mpmath.gamma(mpmath.mpf(k) / 2) * val
+
+
+class TestBallVolume:
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_matches_mpmath(self, k):
+        # across the switch from the series to the recursion at sinh T = 1/2
+        for T in (1e-3, 0.3, 0.48, 0.49, 0.5, 1.0, 3.0, 12.0):
+            with mpmath.workdps(30):
+                exact = mpmath.quad(lambda t: mpmath.sinh(t) ** (k - 1), [0, T])
+            assert float(mc.ball_volume(k, T)) == pytest.approx(float(exact), rel=1e-14)
+
+    def test_small_radius_is_euclidean(self):
+        # V(T) = T^k / k + O(T^(k+2)): no cancellation left at tiny radii
+        for k in (2, 3, 4, 5):
+            assert float(mc.ball_volume(k, 1e-8)) == pytest.approx(1e-8 ** k / k, rel=1e-15)
+
+    def test_arrays_and_low_k(self):
+        T = np.array([0.1, 0.7, 2.0])
+        assert mc.ball_volume(3, T) == pytest.approx([float(mc.ball_volume(3, t)) for t in T])
+        assert float(mc.ball_volume(2, 0.0)) == 0.0
+        with pytest.raises(ValueError):
+            mc.ball_volume(1, 1.0)
+
+
 class TestMonotonicityProfile:
+    def test_matches_quad_on_default_grid(self):
+        for n in (4, 5, 6):
+            rd = build_rank_one("HnR", n)
+            for k in range(2, n):
+                for r, v in mc.monotonicity_profile(rd, k, range(9)):
+                    assert v == pytest.approx(quad_profile(k, r), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_matches_mpmath_off_grid(self, k):
+        # quad misses 1e-12 at r = 0.35, 0.4 and 12; the rule does not.
+        # f(0) -+ 1e-9 puts f^{-1}'s branch point just inside and just
+        # outside the cutoff's support
+        rd = build_rank_one("HnR", 6)
+        radii = [0.35, 0.4, 12.0, mc._HALF_LOG2 - 1e-9, mc._HALF_LOG2 + 1e-9]
+        for r, v in mc.monotonicity_profile(rd, k, radii):
+            assert v == pytest.approx(float(mpmath_profile(k, r)), rel=1e-14)
+
+    def test_disagreeing_rules_raise(self):
+        # 10 and 20 nodes differ by about 6e-11 relative at r = 0
+        with pytest.raises(mc.QuadratureError):
+            mc._certified_profile(3, [0.0], 10, 20)
+        assert mc._certified_profile(3, [0.0], 20, 40)[0] > 0.0
+
+    def test_overflow_raises(self):
+        rd = build_rank_one("HnR", 4)
+        with pytest.raises(mc.QuadratureError):
+            mc.monotonicity_profile(rd, 3, [400.0])
+
+    def test_zero_below_the_surrogate_minimum(self):
+        # f(t) - r > 1 everywhere, so the cutoff is 0 on the whole subspace
+        (_, v), = mc.monotonicity_profile(build_rank_one("HnR", 3), 2, [-1.0])
+        assert v == 0.0
+
     def test_ratio_one_at_equal_radii(self):
         rd = build_rank_one("HnR", 3)
         prof = mc.monotonicity_profile(rd, 2, [1.0, 1.0])
         assert prof[0][1] == pytest.approx(prof[1][1])
 
     def test_bracketed_by_sharp_cutoff(self):
-        rd = build_rank_one("HnR", 4)
-        for k in (2, 3):
+        rd = build_rank_one("HnR", 6)
+        for k in (2, 3, 4, 5):
             for r in (1.0, 3.0):
                 (_, v), = mc.monotonicity_profile(rd, k, [r])
                 assert mc.sharp_cutoff_mass(k, r) <= v <= mc.sharp_cutoff_mass(k, r + 1.0)
@@ -395,3 +481,25 @@ class TestMonotonicityProfile:
             mc.monotonicity_profile(build_rank_one("HnC", 2), 2, [1.0])
         with pytest.raises(ValueError):
             mc.monotonicity_profile(build_rank_one("HnR", 3), 3, [1.0])
+
+
+class TestSharpCutoffMass:
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_matches_mpmath(self, k):
+        for r in (0.4, 1.0, 3.0):
+            with mpmath.workdps(30):
+                T = mpmath.acosh(mpmath.exp(2 * mpmath.mpf(r)) / 2) / 2
+                exact = (2 * mpmath.pi ** (mpmath.mpf(k) / 2) / mpmath.gamma(mpmath.mpf(k) / 2)
+                         * mpmath.quad(lambda t: mpmath.sinh(t) ** (k - 1), [0, T]))
+            assert mc.sharp_cutoff_mass(k, r) == pytest.approx(float(exact), rel=1e-14)
+
+    def test_low_dimensions_in_closed_form(self):
+        for r in (0.4, 2.0):
+            T = mc.smooth_distance_inverse(r)
+            assert mc.sharp_cutoff_mass(2, r) == pytest.approx(
+                2 * math.pi * (math.cosh(T) - 1.0), rel=1e-13)
+            assert mc.sharp_cutoff_mass(3, r) == pytest.approx(
+                2 * math.pi * (math.sinh(T) * math.cosh(T) - T), rel=1e-13)
+
+    def test_zero_below_the_surrogate_minimum(self):
+        assert mc.sharp_cutoff_mass(4, 0.2) == 0.0

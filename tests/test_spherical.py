@@ -364,6 +364,11 @@ class TestPhiLambda:
         with pytest.raises(ValueError):
             sph.phi_lambda(2, np.zeros(2), [1.0, 1.0], N=10, seed=0)
 
+    def test_rejects_no_samples(self):
+        for N in (0, -1):
+            with pytest.raises(ValueError, match="at least one sample"):
+                sph.phi_lambda(2, np.zeros(2), [0.5, -0.5], N=N, seed=0)
+
     def test_rejects_n_below_two(self):
         with pytest.raises(ValueError):
             sph.phi_lambda(1, np.zeros(1), [0.0], N=10, seed=0)
@@ -393,6 +398,10 @@ class TestPhiZeroBound:
         report = sph.phi_zero_bound_check(2, [0.0, 0.0], N=100, seed=5)
         assert report["pass"]
         assert report["detail"]["bound"] == pytest.approx(1.0)
+
+    def test_rejects_no_samples(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            sph.phi_zero_bound_check(2, [1.0, -1.0], N=0, seed=5)
 
 
 class TestLogConvexity:
@@ -424,6 +433,12 @@ class TestLogConvexity:
         logs = report["detail"]["log_values"]
         assert logs[2] <= 1e-2  # middle point at lambda = 0, phi <= 1ish
 
+    def test_rejects_no_samples(self):
+        rd = build_sln(2)
+        with pytest.raises(ValueError, match="at least one sample"):
+            sph.logconvexity_check(2, [1.0, -1.0], rho(rd), rho(rd),
+                                   grid=[0.0, 0.5, 1.0], N=0, seed=10)
+
 
 class TestCFunction:
     def test_at_rho_is_one(self):
@@ -444,17 +459,37 @@ class TestCFunction:
         assert val != 0
 
     def test_rank_one_real_oracle(self):
-        # independent evaluation of the Beta-factor product for H2O
+        # the Gindikin-Karpelevich product for H2O written out by hand:
+        # Beta(m_a/2, <nu, a>/<a, a>) Beta(m_2a/2, m_a/4 + <nu, 2a>/<2a, 2a>)
+        # with (m_a, m_2a) = (8, 7)
         rd = build_rank_one("H2O", 2)
         from scipy.special import beta as beta_fn
 
         lam = rd.covector([5])
 
         def I(s):
-            return beta_fn(4.0, s) * beta_fn(3.5, 4.0 + s / 2.0)
+            return beta_fn(4.0, s) * beta_fn(3.5, 2.0 + s / 2.0)
 
         expected = I(5.0) / I(11.0)
         assert sph.c_function(rd, lam) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("family,n", [("HnR", 4), ("HnC", 3), ("HnH", 2), ("H2O", 2)])
+    @pytest.mark.parametrize("fraction", [Fraction(1, 2), Fraction(4, 5)])
+    def test_rank_one_matches_jacobi_limit(self, family, n, fraction):
+        # c(s) = lim e^{(rho - s) t} phi_s(t) with phi_s the Jacobi function
+        # 2F1((rho + s)/2, (rho - s)/2; (m_a + m_2a + 1)/2; -sinh^2 t) of a
+        # unit simple root; at t = 14 the neglected terms are below 1e-8
+        rd = build_rank_one(family, n)
+        mult = dict(rd.root_coords)
+        m_a, m_2a = mult[(1,)], mult.get((2,), 0)
+        r = (m_a + 2 * m_2a) / 2.0
+        assert float(rho(rd).coords[0]) == r
+        s, t = float(fraction) * r, 14.0
+        limit = math.exp((r - s) * t) * hyp2f1(
+            (r + s) / 2.0, (r - s) / 2.0, (m_a + m_2a + 1) / 2.0, -math.sinh(t) ** 2)
+        c = sph.c_function(rd, fraction * rho(rd))
+        assert c.imag == 0.0
+        assert c.real == pytest.approx(limit, rel=1e-8)
 
     def test_pole_detection(self):
         rd = build_rank_one("HnR", 3)
